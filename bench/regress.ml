@@ -123,10 +123,10 @@ let run_sweep scale =
 
 (* --- optimistic-read sweep ----------------------------------------- *)
 
-(* The CNA/optimistic-read PR's headline claim, pinned: the fig5a-style
-   pure-read workload with the seqlock read path on must beat the same
-   workload with it off at every multi-threaded point (readers skip the
-   rwlock slot acquire/release), and cna+opt must not regress it. *)
+(* The optimistic-read headline claim, pinned: the fig5a-style pure-read
+   workload with the seqlock read path on must beat the same workload with
+   it off at every multi-threaded point (readers skip the rwlock slot
+   acquire/release). *)
 
 type read_point = {
   rp_label : string;
@@ -143,13 +143,6 @@ let read_cfgs =
         Nr_core.Config.default with
         optimistic_reads = true;
         read_patience = Some 4;
-      } );
-    ( "cna+opt",
-      {
-        Nr_core.Config.default with
-        optimistic_reads = true;
-        read_patience = Some 4;
-        cna_lock = true;
       } );
   ]
 
@@ -703,7 +696,7 @@ let emit ~out ~scale ~wall_ms ~points ~read_wall_ms ~read_points
   add "  \"read_sweep\": {\n";
   add
     "    \"workload\": \"fig5a-style skip-list PQ, 0%% updates, Intel \
-     preset, seqlock read path off/on and with the CNA lock\",\n";
+     preset, seqlock read path off/on\",\n";
   add "    \"wall_ms\": %.1f,\n" read_wall_ms;
   add "    \"points\": [\n";
   List.iteri

@@ -64,7 +64,7 @@ let engines_term =
     & opt engines_conv E.all_engines
     & info [ "e"; "engines" ] ~docv:"ENGINES"
         ~doc:
-          "Engines: NR, NR-cna, NR-robust, NR-robust-opt, NR-shard, FC, \
+          "Engines: NR, NR-opt, NR-robust, NR-robust-opt, NR-shard, FC, \
            FC+, RWL, SL, LF, NA.")
 
 let topo_term =
@@ -113,7 +113,7 @@ let skip_validate_term =
         ~doc:
           "Plant the skip-read-validate bug in the optimistic-read engines \
            (readers omit the post-read seqlock stamp check) — the \
-           NR-cna/NR-robust-opt sweep must then flag a violation.")
+           NR-opt/NR-robust-opt sweep must then flag a violation.")
 
 let skip_log_term =
   Arg.(
@@ -251,7 +251,7 @@ let sweep_run substrates engines topo threads ops keys seeds salts plans
     stale bypass skip_validate skip_log expect_violation budget =
   (* one mutation switch downstream: each substrate/engine plants its own
      seeded bug (txn the store's unlogged expiry purge, NR-shard the
-     router bypass, NR-cna/NR-robust-opt the skipped read validation, the
+     router bypass, NR-opt/NR-robust-opt the skipped read validation, the
      plain NR engines the stale read) *)
   let mutation = stale || bypass || skip_validate || skip_log in
   let t0 = Unix.gettimeofday () in

@@ -18,9 +18,9 @@ module Method = Nr_harness.Method
 
 type engine =
   | Nr
-  | Nr_cna  (** NR + CNA combiner lock + optimistic seqlock reads *)
+  | Nr_opt  (** NR + optimistic seqlock reads *)
   | Nr_robust
-  | Nr_robust_opt  (** hardened NR + CNA writer lock + optimistic reads *)
+  | Nr_robust_opt  (** hardened NR + optimistic reads *)
   | Sharded
   | Fc
   | Fcplus
@@ -30,11 +30,11 @@ type engine =
   | Na
 
 let all_engines =
-  [ Nr; Nr_cna; Nr_robust; Nr_robust_opt; Sharded; Fc; Fcplus; Rwl; Sl; Lf; Na ]
+  [ Nr; Nr_opt; Nr_robust; Nr_robust_opt; Sharded; Fc; Fcplus; Rwl; Sl; Lf; Na ]
 
 let engine_name = function
   | Nr -> "NR"
-  | Nr_cna -> "NR-cna"
+  | Nr_opt -> "NR-opt"
   | Nr_robust -> "NR-robust"
   | Nr_robust_opt -> "NR-robust-opt"
   | Sharded -> "NR-shard"
@@ -131,7 +131,7 @@ let mutation_flag ~substrate ~engine =
   else
     match engine with
     | "NR-shard" -> " --mutate-router-bypass"
-    | "NR-cna" | "NR-robust-opt" -> " --mutate-skip-read-validate"
+    | "NR-opt" | "NR-robust-opt" -> " --mutate-skip-read-validate"
     | _ -> " --mutate-stale-reads"
 
 let topo_of_name = function
@@ -227,14 +227,13 @@ module Run (Sub : SUBSTRATE) = struct
   module W = Nr_harness.Families.Wrap (Sub.Seq)
   module Checker = Wgl.Make (Sub.Spec)
 
-  (* The optimistic-read engine variants: CNA combiner/writer lock plus
-     the seqlock read path, patience low so retries exhaust quickly under
-     exploration and the fallback path gets exercised too. *)
+  (* The optimistic-read engine variants: the seqlock read path with
+     patience low so retries exhaust quickly under exploration and the
+     fallback path gets exercised too. *)
   let opt_cfg base ~mutation =
     {
       base with
-      Nr_core.Config.cna_lock = true;
-      optimistic_reads = true;
+      Nr_core.Config.optimistic_reads = true;
       read_patience = Some 4;
       mutation =
         (if mutation then Some Nr_core.Config.Skip_read_validate else None);
@@ -258,7 +257,7 @@ module Run (Sub : SUBSTRATE) = struct
           (W.build rt Method.NR
              ~cfg:{ Nr_core.Config.default with mutation = nr_mutation }
              ~threads ~factory:Sub.factory ())
-    | Nr_cna ->
+    | Nr_opt ->
         Some
           (W.build rt Method.NR
              ~cfg:(opt_cfg Nr_core.Config.default ~mutation)

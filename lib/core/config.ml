@@ -73,21 +73,6 @@ type t = {
   router_seed : int;
       (** seed of the sharded router's key hash: determines the
           key-to-shard mapping, deterministically. *)
-  cna_lock : bool;
-      (** serialize writers through a Compact NUMA-Aware queue lock
-          (Dice & Kogan): waiters are partitioned into a main queue and a
-          secondary queue of remote-node waiters, and the holder prefers
-          handing off to a waiter on its own node, splicing the secondary
-          queue back after [cna_threshold] consecutive local handoffs so
-          remote waiters cannot starve.  Replaces the combiner-lock
-          spinlock (legacy mode only — the hardened protocol needs the
-          stealable lock's generations) and always serializes the
-          distributed rwlock's writer side.  Off = the legacy locks,
-          charge sequences byte-identical. *)
-  cna_threshold : int;
-      (** consecutive intra-node handoffs a CNA lock performs before it
-          splices the secondary (remote) queue back into the main queue —
-          the fairness bound on remote-waiter bypassing *)
   optimistic_reads : bool;
       (** seqlock read path: readers sample a per-replica version stamp,
           run the operation on the replica {e without} taking a reader
@@ -128,8 +113,6 @@ let default =
     distributed_rwlock = true;
     shards = 1;
     router_seed = 0x5EED;
-    cna_lock = false;
-    cna_threshold = 8;
     optimistic_reads = false;
     read_patience = None;
     liveness = None;
@@ -151,8 +134,6 @@ let validate t =
   if t.replay_window < 1 then
     invalid_arg "Config: replay_window must be >= 1";
   if t.shards < 1 then invalid_arg "Config: shards must be >= 1";
-  if t.cna_threshold < 1 then
-    invalid_arg "Config: cna_threshold must be >= 1";
   (match t.read_patience with
   | Some p when p < 1 -> invalid_arg "Config: read_patience must be >= 1"
   | _ -> ());
@@ -189,7 +170,6 @@ let pp ppf t =
       if t.shards <> 1 then
         Format.fprintf ppf " shards=%d router_seed=%#x" t.shards t.router_seed)
     (fun ppf ->
-      if t.cna_lock then Format.fprintf ppf " cna=%d" t.cna_threshold;
       if t.optimistic_reads then Format.fprintf ppf " opt_reads";
       match t.read_patience with
       | Some p -> Format.fprintf ppf " patience=%d" p

@@ -16,7 +16,6 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
   module Backoff = Nr_sync.Backoff.Make (R)
   module Rw_dist = Nr_sync.Rwlock_dist.Make (R)
   module Rw_simple = Nr_sync.Rwlock_simple.Make (R)
-  module Cna = Nr_sync.Cna_lock.Make (R)
   module Log = Log.Make (R)
 
   type rwlock = Dist of Rw_dist.t | Simple of Rw_simple.t
@@ -45,11 +44,6 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
     replica : Seq.t;
     reg : R.region;
     combiner_lock : Spin.t;
-    cna : Cna.t option;
-        (** [Some _] replaces the combiner spinlock with a CNA queue lock
-            ([cfg.cna_lock], legacy mode only — the hardened protocol
-            needs the stealable lock's generations); [combiner_lock] is
-            then never touched *)
     stamp : int R.cell;
         (** per-replica seqlock version ([cfg.optimistic_reads]): odd
             while a writer-lock section is open, bumped on both edges so
@@ -108,30 +102,6 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
      writer-side operations below become no-ops for a thread that already
      holds the combiner lock. *)
 
-  (* Combiner-lock dispatch: [cfg.cna_lock] (legacy mode) swaps the
-     spinlock for a CNA queue lock; the match on the option field is pure
-     OCaml, so with [cna = None] every charge sequence is identical to
-     the direct [Spin] calls. *)
-  let clock_try ns =
-    match ns.cna with
-    | None -> Spin.try_lock ns.combiner_lock <> 0
-    | Some l -> Cna.try_lock l
-
-  let clock_locked ns =
-    match ns.cna with
-    | None -> Spin.locked ns.combiner_lock
-    | Some l -> Cna.locked l
-
-  let clock_lock ns =
-    match ns.cna with
-    | None -> ignore (Spin.lock ns.combiner_lock)
-    | Some l -> Cna.lock l
-
-  let clock_unlock ns =
-    match ns.cna with
-    | None -> Spin.unlock_quiet ns.combiner_lock
-    | Some l -> Cna.unlock l
-
   (* [combiner] says whether the caller already holds [ns]'s combiner
      lock: without the separate replica lock (#3 disabled), the combiner
      lock IS the replica lock, so a caller that does not hold it yet must
@@ -142,7 +112,7 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
        match ns.rw with
        | Dist l -> Rw_dist.write_lock l
        | Simple l -> Rw_simple.write_lock l
-     else if not combiner then clock_lock ns);
+     else if not combiner then ignore (Spin.lock ns.combiner_lock));
     (* seqlock open edge: every replica mutation path — combines,
        refreshes, recoveries, steals — funnels through this writer lock,
        so bumping here covers them all.  The holder is the stamp's sole
@@ -156,41 +126,21 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
       match ns.rw with
       | Dist l -> Rw_dist.write_unlock l
       | Simple l -> Rw_simple.write_unlock l
-    else if not combiner then clock_unlock ns
+    else if not combiner then Spin.unlock_quiet ns.combiner_lock
 
   let acquire_read t ns slot_idx =
     if t.cfg.separate_replica_lock then
       match ns.rw with
       | Dist l -> Rw_dist.read_lock l slot_idx
       | Simple l -> Rw_simple.read_lock l
-    else clock_lock ns
+    else ignore (Spin.lock ns.combiner_lock)
 
   let release_read t ns slot_idx =
     if t.cfg.separate_replica_lock then
       match ns.rw with
       | Dist l -> Rw_dist.read_unlock l slot_idx
       | Simple l -> Rw_simple.read_unlock l
-    else clock_unlock ns
-
-  (* Fold the handoff-locality counters of every CNA lock a node owns
-     (combiner lock and/or rwlock writer side) into a stats record — the
-     locks count locally so the hot path never touches [Stats]. *)
-  let merge_cna_stats acc ns =
-    let add (s : Nr_sync.Cna_lock.snapshot) =
-      acc.Stats.cna_local_handoffs <-
-        acc.Stats.cna_local_handoffs + s.Nr_sync.Cna_lock.local_handoffs;
-      acc.Stats.cna_remote_handoffs <-
-        acc.Stats.cna_remote_handoffs + s.Nr_sync.Cna_lock.remote_handoffs;
-      acc.Stats.cna_splices <-
-        acc.Stats.cna_splices + s.Nr_sync.Cna_lock.splices
-    in
-    (match ns.cna with Some l -> add (Cna.snapshot l) | None -> ());
-    match ns.rw with
-    | Dist l -> (
-        match Rw_dist.writer_cna_snapshot l with
-        | Some s -> add s
-        | None -> ())
-    | Simple _ -> ()
+    else Spin.unlock_quiet ns.combiner_lock
 
   (* {2 Executing operations on a replica} *)
 
@@ -283,12 +233,12 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
         if
           other.node <> ns.node
           && Log.local_tail t.log other.node < target
-          && clock_try other
+          && Spin.try_lock other.combiner_lock <> 0
         then begin
           acquire_write t other ~combiner:true;
           ignore (replay t other ~upto:target ~wait_holes:false);
           release_write t other ~combiner:true;
-          clock_unlock other
+          Spin.unlock_quiet other.combiner_lock
         end)
       t.node_states;
     if Nr_obs.Sink.tracing () then
@@ -319,19 +269,11 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
         replica;
         reg = R.region ~home:node ~lines:(max 1 (Seq.lines replica)) ();
         combiner_lock = Spin.create ~home:node ();
-        cna =
-          (if
-             cfg.cna_lock
-             && match cfg.liveness with None -> true | Some _ -> false
-           then Some (Cna.create ~home:node ~threshold:cfg.cna_threshold ())
-           else None);
         stamp = R.cell ~home:node 0;
         rw =
           (if cfg.distributed_rwlock then
              Dist
                (Rw_dist.create ~home:node ~readers:spn
-                  ?writer_cna:
-                    (if cfg.cna_lock then Some cfg.cna_threshold else None)
                   ?patience:cfg.read_patience ())
            else Simple (Rw_simple.create ~home:node ()));
         slots;
@@ -360,11 +302,7 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
       t.node_states;
     Stats.register_collector (fun () ->
         let acc = Stats.create () in
-        Array.iter
-          (fun ns ->
-            Stats.add acc ns.stats;
-            merge_cna_stats acc ns)
-          t.node_states;
+        Array.iter (fun ns -> Stats.add acc ns.stats) t.node_states;
         acc);
     t
 
@@ -462,7 +400,7 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
     if Nr_obs.Sink.tracing () then
       Nr_obs.Sink.span_end ~tid:(R.tid ()) ~node:ns.node ~cat:"nr" ~arg:n
         "combine";
-    clock_unlock ns;
+    Spin.unlock_quiet ns.combiner_lock;
     match own with
     | Some r -> r
     | None ->
@@ -472,11 +410,11 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
 
   let rec wait_or_combine t ns my_idx =
     let slot = ns.slots.(my_idx) in
-    if clock_try ns then
+    if Spin.try_lock ns.combiner_lock <> 0 then
       match R.read slot.response with
       | Some r ->
           (* a previous combiner served us just before we got the lock *)
-          clock_unlock ns;
+          Spin.unlock_quiet ns.combiner_lock;
           r
       | None -> combine t ns my_idx
     else slot_wait t ns my_idx slot
@@ -487,7 +425,7 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
     match R.read slot.response with
     | Some r -> r
     | None ->
-        if clock_locked ns then begin
+        if Spin.locked ns.combiner_lock then begin
           R.yield ();
           slot_wait t ns my_idx slot
         end
@@ -956,7 +894,7 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
     while Log.local_tail t.log ns.node < read_tail do
       (* If a combiner is active it will refresh the replica; otherwise we
          take the writer lock and refresh it ourselves. *)
-      if clock_locked ns then R.yield ()
+      if Spin.locked ns.combiner_lock then R.yield ()
       else begin
         ns.stats.Stats.reader_refreshes <- ns.stats.Stats.reader_refreshes + 1;
         if Nr_obs.Sink.tracing () then
@@ -1178,11 +1116,7 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
 
   let stats t =
     let acc = Stats.create () in
-    Array.iter
-      (fun ns ->
-        Stats.add acc ns.stats;
-        merge_cna_stats acc ns)
-      t.node_states;
+    Array.iter (fun ns -> Stats.add acc ns.stats) t.node_states;
     acc
 
   (** Quiescent-only introspection, for tests and memory accounting. *)

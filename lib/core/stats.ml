@@ -30,12 +30,6 @@ type t = {
   mutable opt_fallbacks : int;
       (** reads that gave up on the optimistic path (stale replica or
           retries exhausted) and took the rwlock slot path *)
-  mutable cna_local_handoffs : int;
-      (** CNA lock grants to a waiter on the holder's node *)
-  mutable cna_remote_handoffs : int;
-      (** CNA lock grants to a waiter on another node *)
-  mutable cna_splices : int;
-      (** CNA fairness events: secondary queue spliced/promoted *)
 }
 
 let create () =
@@ -55,9 +49,6 @@ let create () =
     opt_reads = 0;
     opt_retries = 0;
     opt_fallbacks = 0;
-    cna_local_handoffs = 0;
-    cna_remote_handoffs = 0;
-    cna_splices = 0;
   }
 
 let record_batch t n =
@@ -101,10 +92,7 @@ let add acc x =
   acc.remote_refreshes <- acc.remote_refreshes + x.remote_refreshes;
   acc.opt_reads <- acc.opt_reads + x.opt_reads;
   acc.opt_retries <- acc.opt_retries + x.opt_retries;
-  acc.opt_fallbacks <- acc.opt_fallbacks + x.opt_fallbacks;
-  acc.cna_local_handoffs <- acc.cna_local_handoffs + x.cna_local_handoffs;
-  acc.cna_remote_handoffs <- acc.cna_remote_handoffs + x.cna_remote_handoffs;
-  acc.cna_splices <- acc.cna_splices + x.cna_splices
+  acc.opt_fallbacks <- acc.opt_fallbacks + x.opt_fallbacks
 
 let pp ppf t =
   Format.fprintf ppf
@@ -126,11 +114,7 @@ let pp ppf t =
   (* optimistic-read counters only appear when the path is armed *)
   if t.opt_reads + t.opt_retries + t.opt_fallbacks > 0 then
     Format.fprintf ppf " opt_reads=%d opt_retries=%d opt_fallbacks=%d"
-      t.opt_reads t.opt_retries t.opt_fallbacks;
-  (* CNA handoff locality only appears when a CNA lock fired *)
-  if t.cna_local_handoffs + t.cna_remote_handoffs + t.cna_splices > 0 then
-    Format.fprintf ppf " cna_handoffs=%d/%d(local/remote) cna_splices=%d"
-      t.cna_local_handoffs t.cna_remote_handoffs t.cna_splices
+      t.opt_reads t.opt_retries t.opt_fallbacks
 
 (* {2 Run-scoped collection}
 
@@ -180,8 +164,5 @@ let register_metrics reg ?(prefix = "nr") t =
   c "opt_reads" (fun () -> t.opt_reads);
   c "opt_retries" (fun () -> t.opt_retries);
   c "opt_fallbacks" (fun () -> t.opt_fallbacks);
-  c "cna_local_handoffs" (fun () -> t.cna_local_handoffs);
-  c "cna_remote_handoffs" (fun () -> t.cna_remote_handoffs);
-  c "cna_splices" (fun () -> t.cna_splices);
   g "avg_batch" (fun () -> avg_batch t);
   g "update_ratio" (fun () -> update_ratio t)

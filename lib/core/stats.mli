@@ -33,12 +33,6 @@ type t = {
   mutable opt_fallbacks : int;
       (** reads that gave up on the optimistic path (stale replica or
           retries exhausted) and took the rwlock slot path *)
-  mutable cna_local_handoffs : int;
-      (** CNA lock grants to a waiter on the holder's node *)
-  mutable cna_remote_handoffs : int;
-      (** CNA lock grants to a waiter on another node *)
-  mutable cna_splices : int;
-      (** CNA fairness events: secondary queue spliced/promoted *)
 }
 
 val create : unit -> t

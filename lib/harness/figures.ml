@@ -77,9 +77,9 @@ let groups =
       run = (fun p -> print_figures (Exp_faults.figures p));
     };
     {
-      id = "cna";
-      description = "CNA lock + optimistic reads: read ceiling, handoff, threshold";
-      run = (fun p -> print_figures (Exp_cna.figures p));
+      id = "opt-reads";
+      description = "optimistic seqlock reads: pure-read ceiling";
+      run = (fun p -> print_figures (Exp_opt_reads.figures p));
     };
     {
       id = "shard";

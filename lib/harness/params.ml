@@ -1,7 +1,6 @@
 (** Shared experiment parameters.  [paper] mirrors the paper's setup (4-node
     Intel topology, 1..112 threads, 200k-item structures); [quick] is a
-    scaled-down preset for smoke runs; [of_env] picks by the
-    [NR_BENCH_SCALE] environment variable. *)
+    scaled-down preset for smoke runs. *)
 
 type t = {
   topo : Nr_sim.Topology.t;
@@ -58,16 +57,3 @@ let amd t =
   }
 
 let max_threads t = List.fold_left max 1 t.threads
-
-let of_env () =
-  match Sys.getenv_opt "NR_BENCH_SCALE" with
-  | Some "quick" -> quick
-  | Some "paper" -> paper
-  | Some "default" | None -> default
-  | Some other ->
-      Printf.eprintf
-        "NR_BENCH_SCALE=%s not recognized (quick|default|paper); using \
-         default scale\n\
-         %!"
-        other;
-      default

@@ -24,6 +24,11 @@ let parse_int s ~start ~stop =
   | Some n -> Ok n
   | None -> Error "protocol error: expected integer"
 
+(* Largest request bulk string accepted, as Redis' [proto-max-bulk-len]:
+   a longer declared length is a protocol error rather than a buffer the
+   connection waits forever to fill. *)
+let max_bulk_len = 512 * 1024 * 1024
+
 (** Parse one request starting at [pos].  Accepts the RESP array-of-bulk
     form and, like Redis, a plain inline command line. *)
 let parse_request ?(pos = 0) (s : string) : parse_result =
@@ -50,9 +55,12 @@ let parse_request ?(pos = 0) (s : string) : parse_result =
                     | Error m -> Invalid m
                     | Ok len when len < 0 ->
                         Invalid "protocol error: negative bulk length"
+                    | Ok len when len > max_bulk_len ->
+                        Invalid "protocol error: invalid bulk length"
                     | Ok len ->
                         let body = e2 + 2 in
-                        if body + len + 2 > n then Incomplete
+                        (* [body + len] could wrap; [n - body] cannot *)
+                        if len > n - body - 2 then Incomplete
                         else if
                           s.[body + len] <> '\r' || s.[body + len + 1] <> '\n'
                         then Invalid "protocol error: bad bulk terminator"
@@ -162,7 +170,7 @@ let parse_reply ?(pos = 0) (s : string) : reply_result =
                   Error (`Invalid "protocol error: negative bulk length")
               | Ok len ->
                   let body = e + 2 in
-                  if body + len + 2 > n then Error `Incomplete
+                  if len > n - body - 2 then Error `Incomplete
                   else if s.[body + len] <> '\r' || s.[body + len + 1] <> '\n'
                   then Error (`Invalid "protocol error: bad bulk terminator")
                   else Ok (Command.Bulk (String.sub s body len), body + len + 2)

@@ -112,6 +112,16 @@ let conn_exec t =
       fun cmd ->
         (match sess cmd with Some r -> r | None -> run_command t cmd)
 
+(* Run one decoded request.  An executor exception becomes an error reply
+   for that request alone: the connection (and, in evloop mode, the
+   executor domain) carries on. *)
+let exec_guarded exec = function
+  | Ok cmd -> (
+      try exec cmd
+      with e ->
+        Command.Err (Printf.sprintf "internal error: %s" (Printexc.to_string e)))
+  | Error e -> Command.Err e
+
 (* Replies can be far larger than one [Unix.write] accepts (snapshot
    streams, shipped frame batches): loop until every byte is out.
    A zero-byte return must be retried, not treated as done — stopping
@@ -188,12 +198,7 @@ let handle_connection t client =
       let rec drain pos =
         match Resp.parse_request ~pos data with
         | Resp.Parsed (tokens, consumed) ->
-            let reply =
-              match Command.of_strings tokens with
-              | Ok cmd -> exec cmd
-              | Error e -> Command.Err e
-            in
-            send_reply t client reply;
+            send_reply t client (exec_guarded exec (Command.of_strings tokens));
             drain (pos + consumed)
         | Resp.Incomplete -> Some pos
         | Resp.Invalid e ->
@@ -213,9 +218,11 @@ let handle_connection t client =
             serve ()
           end
     in
-    (try serve () with Unix.Unix_error _ | End_of_file -> ());
-    deregister_conn t client;
-    try Unix.close client with Unix.Unix_error _ -> ()
+    Fun.protect
+      ~finally:(fun () ->
+        deregister_conn t client;
+        try Unix.close client with Unix.Unix_error _ -> ())
+      (fun () -> try serve () with Unix.Unix_error _ | End_of_file -> ())
   end
 
 (* --- evloop mode ---------------------------------------------------- *)
@@ -239,16 +246,7 @@ let handle_connection_ev t sched ev ~node client =
   let out = Buffer.create 1024 in
   (* the session is only ever stepped by one job at a time: the fiber
      awaits a batch's replies before parsing more of the connection *)
-  let exec = conn_exec t in
-  let exec_one parsed =
-    match parsed with
-    | Ok cmd -> (
-        try exec cmd
-        with e ->
-          Command.Err
-            (Printf.sprintf "internal error: %s" (Printexc.to_string e)))
-    | Error e -> Command.Err e
-  in
+  let exec_one = exec_guarded (conn_exec t) in
   let submit_and_reply reqs =
     let cmds = Array.of_list (List.map Command.of_strings reqs) in
     let fast =

@@ -89,9 +89,18 @@ let steal t =
   let b = Atomic.get t.bottom in
   if tp >= b then None
   else
-    match Atomic.get t.buf.(tp land t.mask) with
+    let cell = t.buf.(tp land t.mask) in
+    match Atomic.get cell with
     | None -> None (* lost a race; the item is (being) taken by someone *)
-    | Some _ as x -> if Atomic.compare_and_set t.top tp (tp + 1) then x else None
+    | Some _ as x ->
+        if Atomic.compare_and_set t.top tp (tp + 1) then begin
+          (* drop the slot's reference so a taken job does not stay live
+             until the ring wraps; physical equality leaves a slot the
+             owner has already refilled untouched *)
+          ignore (Atomic.compare_and_set cell x None);
+          x
+        end
+        else None
 
 let length t = max 0 (Atomic.get t.bottom - Atomic.get t.top)
 let is_empty t = length t = 0

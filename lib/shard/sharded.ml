@@ -121,16 +121,11 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Sub : SHARDABLE) = struct
       if n = 1 then [||]
       else
         (* writer flag + slots homed round-robin so cross-shard traffic
-           does not all hammer node 0; shard locks inherit the CNA and
-           patience knobs so multi-key writers hand off NUMA-locally and
-           single-key readers back off under the shared patience cap *)
+           does not all hammer node 0; shard locks inherit the patience
+           knob so single-key readers back off under the shared cap *)
         Array.init n (fun i ->
             Rw.create
               ~home:(i mod R.num_nodes ())
-              ?writer_cna:
-                (if cfg.Nr_core.Config.cna_lock then
-                   Some cfg.Nr_core.Config.cna_threshold
-                 else None)
               ?patience:cfg.Nr_core.Config.read_patience
               ~readers:(R.max_threads ()) ())
     in

@@ -8,14 +8,11 @@
     Readers may starve under a stream of writers, which does not arise in NR
     because only the combiner writes.
 
-    Two optional knobs, both off by default and byte-identical when off:
-    [writer_cna] serializes competing writers through a {!Cna_lock}
-    (NUMA-aware handoff) instead of the bare CAS loop on the writer flag,
-    and [patience] arms truncated exponential backoff in the reader spin
-    loops (legacy readers re-read the writer flag every yield). *)
+    One optional knob, off by default and byte-identical when off:
+    [patience] arms truncated exponential backoff in the reader spin loops
+    (legacy readers re-read the writer flag every yield). *)
 
 module Make (R : Nr_runtime.Runtime_intf.S) = struct
-  module Cna = Cna_lock.Make (R)
   module Backoff = Backoff.Make (R)
 
   type t = {
@@ -24,15 +21,12 @@ module Make (R : Nr_runtime.Runtime_intf.S) = struct
     scan : int array;
         (** writer-side scratch for the flag scan; only ever touched while
             holding the writer flag, so one buffer per lock suffices *)
-    wlock : Cna.t option;
-        (** when present, writers serialize through it before raising the
-            writer flag (which becomes a plain store) *)
     patience : int option;
         (** when present, reader spin loops back off exponentially with
             this max exponent instead of re-reading every yield *)
   }
 
-  let create ?home ?writer_cna ?patience ~readers () =
+  let create ?home ?patience ~readers () =
     if readers <= 0 then invalid_arg "Rwlock_dist.create: readers must be > 0";
     (match patience with
     | Some p when p < 1 ->
@@ -42,17 +36,10 @@ module Make (R : Nr_runtime.Runtime_intf.S) = struct
       writer = R.cell ?home 0;
       readers = Array.init readers (fun _ -> R.cell ?home 0);
       scan = Array.make readers 0;
-      wlock =
-        (match writer_cna with
-        | Some threshold -> Some (Cna.create ?home ~threshold ())
-        | None -> None);
       patience;
     }
 
   let slots t = Array.length t.readers
-
-  let writer_cna_snapshot t =
-    match t.wlock with Some l -> Some (Cna.snapshot l) | None -> None
 
   let read_lock t slot =
     let flag = t.readers.(slot) in
@@ -101,23 +88,14 @@ module Make (R : Nr_runtime.Runtime_intf.S) = struct
     end
 
   let write_lock t =
-    (match t.wlock with
-    | None ->
-        while not (R.read t.writer = 0 && R.cas t.writer 0 1) do
-          R.yield ()
-        done
-    | Some l ->
-        (* writers are serialized by the CNA queue, so the flag raise is
-           a plain store (readers still read it atomically) *)
-        Cna.lock l;
-        R.write t.writer 1);
+    while not (R.read t.writer = 0 && R.cas t.writer 0 1) do
+      R.yield ()
+    done;
     (* scan all reader flags at once (independent lines overlap, zero
        allocation), then wait out the stragglers individually *)
     let n = Array.length t.readers in
     R.read_ints_into t.readers ~n ~dst:t.scan;
     drain t 0 n
 
-  let write_unlock t =
-    R.write t.writer 0;
-    match t.wlock with None -> () | Some l -> Cna.unlock l
+  let write_unlock t = R.write t.writer 0
 end

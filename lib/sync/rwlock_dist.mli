@@ -13,16 +13,10 @@ module Make (R : Nr_runtime.Runtime_intf.S) : sig
   type t
 
   val create :
-    ?home:int -> ?writer_cna:int -> ?patience:int -> readers:int -> unit -> t
+    ?home:int -> ?patience:int -> readers:int -> unit -> t
   (** A lock with [readers] reader slots (typically one per thread that
       may read).  [home] is the backing node for the writer flag and slot
       array.
-
-      [writer_cna], when given, serializes competing writers through a
-      {!Cna_lock} with that fairness threshold before the writer flag is
-      raised: under writer contention the flag handoff prefers waiters on
-      the departing writer's NUMA node.  Absent = the legacy bare CAS
-      loop on the flag, byte-identical charge sequences.
 
       [patience], when given, arms truncated exponential backoff (max
       exponent [patience]) in the reader spin loops — both the
@@ -36,10 +30,6 @@ module Make (R : Nr_runtime.Runtime_intf.S) : sig
 
   val slots : t -> int
   (** Number of reader slots the lock was created with. *)
-
-  val writer_cna_snapshot : t -> Cna_lock.snapshot option
-  (** Handoff-locality counters of the writer-side CNA lock; [None] when
-      the lock was created without [writer_cna]. *)
 
   val read_lock : t -> int -> unit
   (** [read_lock t slot] acquires slot [slot] for reading: wait until no
@@ -56,6 +46,5 @@ module Make (R : Nr_runtime.Runtime_intf.S) : sig
       linearization point ([R.read_all]) so independent misses overlap. *)
 
   val write_unlock : t -> unit
-  (** Drop the writer flag (and hand off the CNA writer queue, when
-      armed). *)
+  (** Drop the writer flag. *)
 end

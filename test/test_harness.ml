@@ -77,7 +77,7 @@ let test_figure_registry () =
   Alcotest.(check bool) "has fig14" true (Figures.find "fig14" <> None);
   Alcotest.(check bool) "has shard" true (Figures.find "shard" <> None);
   Alcotest.(check bool) "has durable" true (Figures.find "durable" <> None);
-  Alcotest.(check bool) "has cna" true (Figures.find "cna" <> None);
+  Alcotest.(check bool) "has opt-reads" true (Figures.find "opt-reads" <> None);
   Alcotest.(check bool) "has txn" true (Figures.find "txn" <> None);
   Alcotest.(check bool) "unknown id" true (Figures.find "nope" = None);
   Alcotest.(check int) "17 groups" 17 (List.length (Figures.ids ()))

@@ -1,7 +1,8 @@
 (* Network front-end tests: the Chase–Lev run-queue deque, the seeded
    work-stealing scheduler, the four server bugfix regressions
    (write_all truncation, O(n^2) pipelining, accept-error policy,
-   double shutdown), the evloop serving mode end-to-end — including a
+   double shutdown), hostile bulk lengths and raising executors in both
+   serving modes, the evloop serving mode end-to-end — including a
    1k-concurrent-connection smoke and a linearizability check of
    histories recorded through the evloop — and the pool-mode golden
    reply bytes the evloop must reproduce. *)
@@ -37,6 +38,27 @@ let test_deque_full () =
   Alcotest.(check bool) "push refused at capacity" false (Deque.push d 5);
   ignore (Deque.steal d);
   Alcotest.(check bool) "push after steal" true (Deque.push d 5)
+
+(* A taken job must not stay reachable from the ring: a job is a closure
+   over its batch's commands and replies, and a slot that kept it would
+   pin them until the ring wrapped around. *)
+let push_tracked_job d w =
+  let payload = Bytes.make 64 'x' in
+  Weak.set w 0 (Some payload);
+  ignore (Deque.push d (fun () -> Bytes.length payload))
+[@@inline never]
+
+let test_deque_steal_releases_job () =
+  let d = Deque.create ~size_exp:4 () in
+  let w = Weak.create 1 in
+  push_tracked_job d w;
+  (match Deque.steal d with
+  | Some job -> Alcotest.(check int) "stolen job runs" 64 (job ())
+  | None -> Alcotest.fail "steal found nothing");
+  Gc.full_major ();
+  Alcotest.(check bool) "stolen job unreachable" false (Weak.check w 0);
+  (* the deque itself must outlive the collection, or the check is void *)
+  Alcotest.(check bool) "deque drained" true (Deque.is_empty d)
 
 (* Sequential model check: against a reference deque, any interleaving of
    owner pushes/pops and (single-threaded) steals agrees. *)
@@ -519,6 +541,56 @@ let test_evloop_lincheck () =
       | W.Violation _ -> Alcotest.fail "evloop history not linearizable"
       | W.Budget_exhausted -> Alcotest.fail "lincheck budget exhausted")
 
+(* --- hostile input and failing executors, both modes ----------------- *)
+
+(* Every read below times out instead of blocking, so a server that
+   leaks the connection fails the test rather than hanging it. *)
+let connect_timed port =
+  let sock = connect port in
+  Unix.setsockopt_float sock Unix.SO_RCVTIMEO 5.0;
+  sock
+
+(* A bulk length near [max_int] must not wrap the parser's bound check
+   into an out-of-range index: it is a protocol error, answered with
+   [-ERR] before the connection closes. *)
+let run_huge_bulk_len ~net () =
+  with_server ~net (store_exec ()) (fun _server port ->
+      let sock = connect_timed port in
+      Server.write_all sock (Bytes.of_string "*1\r\n$4611686018427387903\r\n");
+      let buf = Bytes.create 256 in
+      let n = Unix.read sock buf 0 256 in
+      Alcotest.(check bool) "protocol error reported" true
+        (n >= 4 && Bytes.sub_string buf 0 4 = "-ERR");
+      Alcotest.(check int) "closed" 0 (Unix.read sock buf 0 256);
+      Unix.close sock)
+
+let test_huge_bulk_len_pool () = run_huge_bulk_len ~net:Server.Pool ()
+let test_huge_bulk_len_evloop () = run_huge_bulk_len ~net:Server.Evloop ()
+
+(* An executor that raises answers that one request with [-ERR] and
+   keeps serving the connection. *)
+let run_executor_exception ~net () =
+  let exec = function
+    | Command.Get "boom" -> failwith "boom"
+    | _ -> Command.Pong
+  in
+  with_server ~net exec (fun _server port ->
+      let sock = connect_timed port in
+      Server.write_all sock
+        (Bytes.of_string (Resp.encode_request [ "GET"; "boom" ]));
+      let expected = "-ERR internal error: Failure(\"boom\")\r\n" in
+      Alcotest.(check string) "error reply" expected
+        (read_exactly sock (String.length expected));
+      Server.write_all sock (Bytes.of_string (Resp.encode_request [ "PING" ]));
+      Alcotest.(check string) "still serving" "+PONG\r\n"
+        (read_exactly sock 7);
+      Unix.close sock)
+
+let test_executor_exception_pool () = run_executor_exception ~net:Server.Pool ()
+
+let test_executor_exception_evloop () =
+  run_executor_exception ~net:Server.Evloop ()
+
 (* --- golden reply bytes: pool pinned, evloop identical -------------- *)
 
 (* The scripted workload's exact reply bytes through the pool path — the
@@ -564,6 +636,8 @@ let suite =
   [
     Alcotest.test_case "deque basic" `Quick test_deque_basic;
     Alcotest.test_case "deque full" `Quick test_deque_full;
+    Alcotest.test_case "deque steal releases the job" `Quick
+      test_deque_steal_releases_job;
     QCheck_alcotest.to_alcotest deque_model_test;
     Alcotest.test_case "deque concurrent steal" `Slow
       test_deque_concurrent_steal;
@@ -594,6 +668,14 @@ let suite =
     Alcotest.test_case "evloop 1k concurrent connections" `Slow
       test_evloop_concurrent_connections;
     Alcotest.test_case "evloop linearizability" `Slow test_evloop_lincheck;
+    Alcotest.test_case "huge bulk length rejected (pool)" `Slow
+      test_huge_bulk_len_pool;
+    Alcotest.test_case "huge bulk length rejected (evloop)" `Slow
+      test_huge_bulk_len_evloop;
+    Alcotest.test_case "executor exception answered (pool)" `Slow
+      test_executor_exception_pool;
+    Alcotest.test_case "executor exception answered (evloop)" `Slow
+      test_executor_exception_evloop;
     Alcotest.test_case "golden reply bytes (pool pinned)" `Slow
       test_golden_pool;
     Alcotest.test_case "golden reply bytes (evloop identical)" `Slow

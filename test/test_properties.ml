@@ -51,8 +51,6 @@ let config_gen =
         router_seed = 0x5EED;
         liveness = None;
         mutation = None;
-        cna_lock = false;
-        cna_threshold = 8;
         optimistic_reads = false;
         read_patience = None;
       })
@@ -114,13 +112,30 @@ let sl_rank_counts_smaller =
 
 (* --- RESP never crashes on junk and parses its own output --- *)
 
+(* Junk includes bulk headers declaring lengths near [max_int], where a
+   naive [body + len] bound check wraps negative. *)
+let resp_junk_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        string_size (int_bound 64);
+        (let* lead = oneofl [ "*1\r\n$"; "$"; "*2\r\n$1\r\na\r\n$" ] in
+         let* d = int_bound 64 in
+         let* tail = string_size (int_bound 16) in
+         return (Printf.sprintf "%s%d\r\n%s" lead (max_int - d) tail));
+      ])
+
 let resp_fuzz =
   QCheck.Test.make ~count:500 ~name:"resp parser total on junk"
-    QCheck.(string_of_size (QCheck.Gen.int_bound 64))
+    (QCheck.make resp_junk_gen ~print:String.escaped)
     (fun junk ->
-      match Nr_kvstore.Resp.parse_request junk with
+      (match Nr_kvstore.Resp.parse_request junk with
       | Nr_kvstore.Resp.Parsed _ | Nr_kvstore.Resp.Incomplete
       | Nr_kvstore.Resp.Invalid _ ->
+          ());
+      match Nr_kvstore.Resp.parse_reply junk with
+      | Nr_kvstore.Resp.RParsed _ | Nr_kvstore.Resp.RIncomplete
+      | Nr_kvstore.Resp.RInvalid _ ->
           true)
 
 let resp_roundtrip =

@@ -1,21 +1,21 @@
-(* Read-path and CNA-lock suite for the optimistic-reads PR.
+(* Read-path suite for the optimistic seqlock reads.
 
-   Pins the zero-overhead claim (both flags off = bit-identical to the
-   pre-PR goldens), the perf claim (pure-read throughput strictly higher
-   with the seqlock path on), the CNA lock's mutual exclusion and handoff
-   accounting, linearizability of the new engine variants under seeded
-   fault plans, and the catchability of the [Skip_read_validate]
-   mutation at its pinned counterexample tuple. *)
+   Pins the zero-overhead claim (flag off = bit-identical to the goldens
+   captured before the read path existed), the perf claim (pure-read
+   throughput strictly higher with the seqlock path on), linearizability
+   of the optimistic engine variants under seeded fault plans, and the
+   catchability of the [Skip_read_validate] mutation at its pinned
+   counterexample tuple. *)
 
 module T = Nr_sim.Topology
 module E = Nr_check.Explore
 open Nr_harness
 
-(* --- fixed-seed goldens with both flags off ------------------------ *)
+(* --- fixed-seed goldens with the flag off --------------------------- *)
 
-(* The fig5a-style probe points captured on the pre-PR tree: any drift
-   with cna_lock and optimistic_reads off means the refactor changed a
-   charge sequence it promised not to touch. *)
+(* The fig5a-style probe points captured before the read path existed:
+   any drift with optimistic_reads off means a change touched a charge
+   sequence it promised not to touch. *)
 
 let params threads =
   {
@@ -71,104 +71,23 @@ let opt_cfg =
     read_patience = Some 4;
   }
 
-let cna_opt_cfg = { opt_cfg with Nr_core.Config.cna_lock = true }
-
 (* --- the perf claim and flags-on determinism ----------------------- *)
 
 let test_optimistic_reads_faster () =
   let off = run_cfg Nr_core.Config.default ~update_pct:0 ~threads:28 in
   let on = run_cfg opt_cfg ~update_pct:0 ~threads:28 in
-  let cna = run_cfg cna_opt_cfg ~update_pct:0 ~threads:28 in
   Alcotest.(check bool)
     "0%-update sweep faster with optimistic reads on" true
-    (on.Driver.total_ops > off.Driver.total_ops);
-  Alcotest.(check bool)
-    "cna_lock does not regress the pure-read point" true
-    (cna.Driver.total_ops >= on.Driver.total_ops)
+    (on.Driver.total_ops > off.Driver.total_ops)
 
 let test_flags_on_deterministic () =
-  let a = run_cfg cna_opt_cfg ~update_pct:10 ~threads:28 in
-  let b = run_cfg cna_opt_cfg ~update_pct:10 ~threads:28 in
+  let a = run_cfg opt_cfg ~update_pct:10 ~threads:28 in
+  let b = run_cfg opt_cfg ~update_pct:10 ~threads:28 in
   Alcotest.(check int) "total ops" a.Driver.total_ops b.Driver.total_ops;
   Alcotest.(check bool)
     "throughput bit-identical" true
     (Int64.bits_of_float a.Driver.ops_per_us
     = Int64.bits_of_float b.Driver.ops_per_us)
-
-(* --- CNA lock unit tests ------------------------------------------- *)
-
-let test_cna_mutual_exclusion () =
-  let sched = Nr_sim.Sched.create T.tiny in
-  let module R = (val Nr_runtime.Runtime_sim.make sched) in
-  let module Cna = Nr_sync.Cna_lock.Make (R) in
-  let l = Cna.create ~threshold:4 () in
-  let count = ref 0 and in_cs = ref false and clashes = ref 0 in
-  let rounds = 50 in
-  for tid = 0 to 3 do
-    Nr_sim.Sched.spawn sched ~tid (fun () ->
-        (* stagger arrivals and hold long: identical lock-step loops
-           rotate the free lock in a convoy and nobody ever queues *)
-        R.work (tid * 53);
-        for _ = 1 to rounds do
-          Cna.lock l;
-          if !in_cs then incr clashes;
-          in_cs := true;
-          R.work 500;
-          incr count;
-          in_cs := false;
-          Cna.unlock l
-        done)
-  done;
-  Nr_sim.Sched.run sched;
-  Alcotest.(check int) "no overlapping critical sections" 0 !clashes;
-  Alcotest.(check int) "every acquisition ran" (4 * rounds) !count;
-  Alcotest.(check bool) "lock free at quiescence" false (Cna.locked l);
-  let s = Cna.snapshot l in
-  Alcotest.(check bool)
-    "contention produced queued handoffs" true
-    (s.Nr_sync.Cna_lock.local_handoffs + s.Nr_sync.Cna_lock.remote_handoffs
-    > 0)
-
-let test_cna_try_lock () =
-  let sched = Nr_sim.Sched.create T.tiny in
-  let module R = (val Nr_runtime.Runtime_sim.make sched) in
-  let module Cna = Nr_sync.Cna_lock.Make (R) in
-  let l = Cna.create ~threshold:2 () in
-  Nr_sim.Sched.spawn sched ~tid:0 (fun () ->
-      Alcotest.(check bool) "try_lock on free lock" true (Cna.try_lock l);
-      Alcotest.(check bool) "locked after try_lock" true (Cna.locked l);
-      Alcotest.(check bool) "try_lock on held lock" false (Cna.try_lock l);
-      Cna.unlock l;
-      Alcotest.(check bool) "free after unlock" false (Cna.locked l);
-      (* a queue-based lock must still work after a try_lock round *)
-      Cna.lock l;
-      Cna.unlock l;
-      Alcotest.(check bool) "free after lock/unlock" false (Cna.locked l))
-  |> ignore;
-  Nr_sim.Sched.run sched
-
-(* Threshold 1 forces a secondary splice or remote grant on every
-   cross-node contention episode; with all four tiny-topology threads
-   hammering the lock the fairness path must fire. *)
-let test_cna_fairness_path () =
-  let sched = Nr_sim.Sched.create T.tiny in
-  let module R = (val Nr_runtime.Runtime_sim.make sched) in
-  let module Cna = Nr_sync.Cna_lock.Make (R) in
-  let l = Cna.create ~threshold:1 () in
-  for tid = 0 to 3 do
-    Nr_sim.Sched.spawn sched ~tid (fun () ->
-        R.work (tid * 53);
-        for _ = 1 to 40 do
-          Cna.lock l;
-          R.work 500;
-          Cna.unlock l
-        done)
-  done;
-  Nr_sim.Sched.run sched;
-  let s = Cna.snapshot l in
-  Alcotest.(check bool)
-    "remote waiters eventually served" true
-    (s.Nr_sync.Cna_lock.remote_handoffs + s.Nr_sync.Cna_lock.splices > 0)
 
 (* --- sequential oracle through the optimistic path ----------------- *)
 
@@ -178,7 +97,7 @@ let test_opt_path_sequential_oracle () =
   let module W = Families.Wrap (Nr_seqds.Skiplist_dict) in
   let oracle = Nr_seqds.Skiplist_dict.create () in
   let exec =
-    W.build rt Method.NR ~cfg:cna_opt_cfg ~threads:1
+    W.build rt Method.NR ~cfg:opt_cfg ~threads:1
       ~factory:(fun () -> Nr_seqds.Skiplist_dict.create ())
       ()
   in
@@ -202,7 +121,7 @@ let test_opt_path_sequential_oracle () =
    optimistic read path is indistinguishable from the slot path. *)
 let opt_engines_linearizable =
   QCheck.Test.make ~count:12
-    ~name:"NR-cna / NR-robust-opt linearizable under seeded fault plans"
+    ~name:"NR-opt / NR-robust-opt linearizable under seeded fault plans"
     QCheck.(
       make
         Gen.(
@@ -212,7 +131,7 @@ let opt_engines_linearizable =
             oneofl
               [ "none"; "jitter:2"; "storm:3"; "steal:1"; "death:1" ]
           in
-          let* engine = oneofl [ E.Nr_cna; E.Nr_robust_opt ] in
+          let* engine = oneofl [ E.Nr_opt; E.Nr_robust_opt ] in
           return (seed, salt, plan, engine))
         ~print:(fun (seed, salt, plan, engine) ->
           Printf.sprintf "seed=%d salt=%d plan=%s engine=%s" seed salt plan
@@ -233,8 +152,8 @@ let opt_engines_linearizable =
    value a completed remote update already overwrote. *)
 let test_skip_read_validate_caught () =
   match
-    E.Run_kv.check_one ~topo:"tiny" ~threads:4 ~seed:17 ~salt:7
-      ~plan:"storm:1" ~ops_per_thread:20 ~key_space:2 ~engine:E.Nr_cna
+    E.Run_kv.check_one ~topo:"tiny" ~threads:4 ~seed:31 ~salt:21
+      ~plan:"storm:1" ~ops_per_thread:20 ~key_space:2 ~engine:E.Nr_opt
       ~mutation:true ()
   with
   | Some _ -> ()
@@ -250,11 +169,6 @@ let suite =
       `Quick test_optimistic_reads_faster;
     Alcotest.test_case "flags-on sweep point is deterministic" `Quick
       test_flags_on_deterministic;
-    Alcotest.test_case "CNA lock mutual exclusion + handoff accounting"
-      `Quick test_cna_mutual_exclusion;
-    Alcotest.test_case "CNA try_lock" `Quick test_cna_try_lock;
-    Alcotest.test_case "CNA fairness path fires at threshold 1" `Quick
-      test_cna_fairness_path;
     Alcotest.test_case "optimistic path agrees with sequential oracle"
       `Quick test_opt_path_sequential_oracle;
     QCheck_alcotest.to_alcotest opt_engines_linearizable;
