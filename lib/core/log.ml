@@ -100,7 +100,8 @@ module Make (R : Nr_runtime.Runtime_intf.S) = struct
      filler learns its op was poisoned (and its requester must repost) and
      a late poisoner learns the entry is live. *)
 
-  let poison_stamp t i = -((i / t.size) + 2)
+  let poison_of_lap lap = -(lap + 2)
+  let poison_stamp t i = poison_of_lap (i / t.size)
   let is_poisoned t i = R.iget t.gens (i mod t.size) = poison_stamp t i
 
   (* Race fill vs. poison to resolve entry [i]; [stamp] is the caller's
@@ -196,14 +197,21 @@ module Make (R : Nr_runtime.Runtime_intf.S) = struct
     end
 
   let rec filled_prefix stamps ~i ~size k n =
-    if k < n && Array.unsafe_get stamps k = (i + k) / size then
-      filled_prefix stamps ~i ~size (k + 1) n
+    if k < n then begin
+      let s = Array.unsafe_get stamps k and lap = (i + k) / size in
+      if s = lap || s = poison_of_lap lap then
+        filled_prefix stamps ~i ~size (k + 1) n
+      else k
+    end
     else k
 
   (* Read the gen stamps of entries [i, i+n) in one overlapped batch and
-     return how many are {e consecutively} filled from [i].  Entries past
-     the first hole are invisible to replay anyway (§5.1/§5.3), so a
-     prefix count is all consumers need. *)
+     return how many are {e consecutively} resolved from [i]: filled, or
+     poisoned (hardened mode; legacy mode never writes a poison stamp).
+     Entries past the first hole are invisible to replay anyway
+     (§5.1/§5.3), so a prefix count is all consumers need, and
+     [batch_is_poisoned] tells the two outcomes apart per entry from the
+     stamps already fetched, without another shared read. *)
   let read_filled t b i n =
     if n = 0 then 0
     else begin
@@ -215,32 +223,7 @@ module Make (R : Nr_runtime.Runtime_intf.S) = struct
       filled_prefix b.stamps ~i ~size:t.size 0 n
     end
 
-  (* Hardened-replay variant of [read_filled]: the prefix count also
-     admits poisoned entries (they are resolved — there is nothing to
-     wait for), and [batch_is_poisoned] distinguishes them per entry from
-     the stamps already fetched, without another shared read. *)
-  let rec resolved_prefix t stamps ~i k n =
-    if k < n then begin
-      let s = Array.unsafe_get stamps k in
-      let idx = i + k in
-      if s = idx / t.size || s = poison_stamp t idx then
-        resolved_prefix t stamps ~i (k + 1) n
-      else k
-    end
-    else k
-
-  let read_resolved t b i n =
-    if n = 0 then 0
-    else begin
-      ensure_batch b n;
-      for k = 0 to n - 1 do
-        Array.unsafe_set b.idx k ((i + k) mod t.size)
-      done;
-      R.iread_into t.gens ~idx:b.idx ~n ~dst:b.stamps;
-      resolved_prefix t b.stamps ~i 0 n
-    end
-
-  (* Valid for offsets within the prefix a [read_resolved] just returned:
+  (* Valid for offsets within the prefix a [read_filled] just returned:
      every poison stamp is <= -2, every lap stamp >= 0. *)
   let batch_is_poisoned b k = b.stamps.(k) < -1
 

@@ -24,11 +24,14 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
     request : Seq.op option R.cell;
     response : Seq.result option R.cell;
     mutable seq : int;
-        (** hardened mode: incarnation of the posted request, bumped on
-            every (re)post; response deliveries are guarded on the seq
-            they were collected under, so a delivery racing a repost of
-            the same slot can never satisfy the wrong incarnation.
-            Untouched in legacy mode. *)
+        (** incarnation of the posted request, bumped on every (re)post;
+            hardened-mode deliveries are guarded on the seq they were
+            collected under, so a delivery racing a repost of the same
+            slot can never satisfy the wrong incarnation.  Legacy mode
+            bumps it but never checks it. *)
+    backoff : Backoff.t;
+        (** the owning thread's hardened-mode wait ladder; reset before
+            each ladder's first round *)
   }
 
   (* Hardened-mode batch lifecycle, tracked in plain fields of
@@ -154,9 +157,12 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
     Seq.execute ns.replica op
 
   (* Replay log entries [local_tail, upto) onto [ns]'s replica.  Caller
-     must hold the replica's write-side lock.  [wait_holes] selects the
-     combiner behaviour (block on a reserved-but-unfilled entry, §5.1)
-     versus the reader behaviour (stop early, §5.3).
+     must hold the replica's write-side lock.  At a reserved-but-unfilled
+     entry (a hole), [patience < 0] stops: the reader behaviour (§5.3).
+     Otherwise the replay waits (§5.1) and, in hardened mode, poisons a
+     hole still open after [patience] rounds so the log advances past a
+     dead writer; legacy combiners pass [max_int].  Every replica skips
+     poisoned entries alike; legacy mode never writes one.
 
      Response delivery: with flat combining, a node's own operations are
      applied by its combiner from the local slots, never from the log, so
@@ -174,43 +180,221 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
      top-level tail-recursive functions: no state refs and no closures are
      allocated per replay — a [let rec] {e inside} [replay] would cost a
      closure record per call, which on the domains runtime is the hot
-     path's entire allocation budget. *)
-  let rec replay_run t ns deliver j stop_at =
+     path's entire allocation budget.  [base] is the window start the
+     [replay_buf] stamps were scanned from. *)
+  let rec replay_run t ns deliver base j stop_at =
     if j < stop_at then begin
-      replay_one t ns ~deliver j;
-      replay_run t ns deliver (j + 1) stop_at
+      if not (Log.batch_is_poisoned ns.replay_buf (j - base)) then
+        replay_one t ns ~deliver j;
+      replay_run t ns deliver base (j + 1) stop_at
     end
 
-  let rec replay_window t ns deliver upto wait_holes i =
+  let rec replay_window t ns deliver upto patience rounds i =
     if i >= upto then i
     else begin
       let n = min t.cfg.replay_window (upto - i) in
-      (* one overlapped gen scan per window, into the node's scratch *)
+      (* one overlapped gen scan per window, into the node's scratch;
+         [replay_buf] is only touched under this node's writer lock, so
+         the stamps stay valid across the charged applies below *)
       let filled = Log.read_filled t.log ns.replay_buf i n in
       let stop_at = i + filled in
-      replay_run t ns deliver i stop_at;
-      if filled = n then replay_window t ns deliver upto wait_holes stop_at
-      else if not wait_holes then stop_at
+      replay_run t ns deliver i i stop_at;
+      if filled = n then replay_window t ns deliver upto patience 0 stop_at
+      else if patience < 0 then stop_at
+      else if rounds >= patience then begin
+        if Log.poison t.log stop_at then begin
+          ns.stats.Stats.poisoned <- ns.stats.Stats.poisoned + 1;
+          if Nr_obs.Sink.tracing () then
+            Nr_obs.Sink.instant ~tid:(R.tid ()) ~node:ns.node ~cat:"nr"
+              ~arg:Nr_obs.Sink.no_arg "poison"
+        end;
+        replay_window t ns deliver upto patience 0 stop_at
+      end
       else if
-        (* wait for the missing entry to be filled, then re-fetch the
-           window from the new position *)
-        Log.is_filled t.log stop_at
+        (* legacy only: probe the missing entry and take it alone before
+           re-fetching a window.  Hardened mode goes straight to the
+           yield; giving it the probe changes its timing. *)
+        match t.cfg.liveness with
+        | None -> Log.is_filled t.log stop_at
+        | Some _ -> false
       then begin
         replay_one t ns ~deliver stop_at;
-        replay_window t ns deliver upto wait_holes (stop_at + 1)
+        replay_window t ns deliver upto patience 0 (stop_at + 1)
       end
       else begin
         R.yield ();
-        replay_window t ns deliver upto wait_holes stop_at
+        replay_window t ns deliver upto patience (rounds + 1) stop_at
       end
     end
 
-  let replay t ns ~upto ~wait_holes =
+  let replay t ns ~upto ~patience =
     let deliver = not t.cfg.flat_combining in
     let start = Log.local_tail t.log ns.node in
-    let fin = replay_window t ns deliver upto wait_holes start in
+    let fin = replay_window t ns deliver upto patience 0 start in
     if fin <> start then Log.set_local_tail t.log ns.node fin;
     fin
+
+  (* Release a combiner lock held as tenure [gen].  Legacy mode never
+     steals, so the holder is the word's sole writer and one plain write
+     does; hardened mode must check the tenure is still its own. *)
+  let unlock_combiner t ns gen =
+    match t.cfg.liveness with
+    | None -> Spin.unlock_quiet ns.combiner_lock
+    | Some _ -> ignore (Spin.unlock ns.combiner_lock ~gen)
+
+  (* {2 The hardened protocol (liveness mode)}
+
+     Armed by [Config.liveness].  The legacy protocol assumes every
+     thread keeps running: a combiner that stalls mid-batch wedges its
+     node, a dead thread that reserved log entries wedges every replayer,
+     and waiters spin forever.  The hardened protocol tolerates both,
+     against the simulator's fault injector:
+
+     - the combiner lock is stealable ({!Nr_sync.Stealable_lock}): a
+       waiter whose patience runs out dispossesses the stuck tenure and
+       {e recovers} its published in-flight batch;
+     - the log-tail CAS that commits a reservation carries an ownership
+       guard, so a dispossessed combiner can never commit entries its
+       stealer does not know about — the in-flight descriptor is published
+       in the same atomic region as the commit;
+     - log holes left by dead writers are {e poisoned} after a patience
+       bound; every replica skips poisoned entries identically and their
+       requesters repost;
+     - responses are delivered under per-slot incarnation numbers, so a
+       late delivery from a dispossessed combiner cannot satisfy a
+       reposted request;
+     - the apply phase is serialized by the replica writer lock and
+       tracked by [inflight_applied], so the original combiner and a
+       recoverer each apply every operation exactly once between them.
+
+     Replay, refresh, helping, the slot drain and the read wait serve
+     both protocols: the mode is a patience argument or a [match] on
+     [t.cfg.liveness] where they differ, and legacy mode runs under tenure
+     0, which [inflight_gen] never leaves.  [combine]/[combine_h] and
+     [wait_or_combine]/[update_wait] stay split: legacy advances
+     [completed] before applying its batch and posts each response as it
+     is computed, unlike [finish_batch], and the goldens pin that order. *)
+
+  (* Drop the in-flight descriptor: no batch, no owning tenure. *)
+  let retire ns =
+    ns.inflight_state <- if_idle;
+    ns.inflight_gen <- 0
+
+  (* Complete the in-flight batch: replay the foreign prefix, apply
+     whatever the previous holder had not applied yet, jump the local tail
+     over the batch, then (when [deliver]) deliver the responses.  The
+     body of [finish_batch], shared with the lock-free post-mortem
+     [Unsafe.finish_inflight]. *)
+  let complete_batch t ns ~patience ~deliver =
+    let start = ns.inflight_start and n = ns.inflight_n in
+    let end_ = start + n in
+    ns.inflight_state <- if_applying;
+    ignore (replay t ns ~upto:start ~patience);
+    (* apply before the local-tail jump: while our tail sits at [start]
+       the range cannot be recycled, so the poison checks below read this
+       lap's stamps *)
+    for k = ns.inflight_applied to n - 1 do
+      (match ns.batch_ops.(k) with
+      | Some op ->
+          (* an entry that lost its fill/poison race is skipped by every
+             replica alike; its requester reposts *)
+          if not (Log.is_poisoned t.log (start + k)) then
+            ns.batch_res.(k) <- Some (apply ns op)
+      | None -> ());
+      ns.inflight_applied <- k + 1
+    done;
+    (* own batch is applied from the scratch, not the log: jump over it
+       (all local-tail writes happen under this writer lock, so the plain
+       store cannot regress a concurrent advance) *)
+    Log.set_local_tail t.log ns.node end_;
+    Log.advance_completed t.log end_;
+    (* (re)deliver under the collected incarnations: a requester that
+       already consumed its response and reposted carries a newer seq, so
+       a stale redelivery falls out at the guard *)
+    if deliver then
+      for k = 0 to n - 1 do
+        match ns.batch_res.(k) with
+        | Some _ as res ->
+            let slot = ns.slots.(ns.batch_slots.(k)) in
+            let sq = ns.batch_seqs.(k) in
+            ignore
+              (R.guarded_write slot.response
+                 ~guard:(fun () -> slot.seq = sq)
+                 res)
+        | None -> ()
+      done;
+    for k = 0 to n - 1 do
+      ns.batch_ops.(k) <- None;
+      ns.batch_res.(k) <- None
+    done;
+    retire ns
+
+  (* Runs [complete_batch] for tenure [gen] under the node's writer lock,
+     which serializes the original (possibly dispossessed) combiner
+     against any recoverer: whoever holds the lock advances
+     [inflight_applied]; the other finds nothing left.  The [gen] tag
+     keeps a resumed zombie from adopting a {e newer} descriptor its
+     stealer published after finishing this one. *)
+  let finish_batch t ns ~gen ~patience =
+    acquire_write t ns ~combiner:true;
+    if
+      ns.inflight_state <> if_idle
+      && ns.inflight_gen = gen
+      && ns.inflight_start >= 0
+    then complete_batch t ns ~patience ~deliver:true;
+    release_write t ns ~combiner:true
+
+  (* (Re-)fill the batch committed at [start] from the scratch, racing
+     hole-poisoners and any other filler of the same batch.  [start] and
+     [n] are the caller's: a dispossessed filler must not pick up a newer
+     descriptor mid-loop. *)
+  let fill_inflight t ns start n =
+    for k = 0 to n - 1 do
+      match ns.batch_ops.(k) with
+      | Some op ->
+          ignore
+            (Log.fill_checked t.log (start + k) ~op ~origin_node:ns.node
+               ~origin_slot:ns.batch_slots.(k))
+      | None -> ()
+    done
+
+  (* Adopt whatever batch a previous tenure left behind; called with the
+     combiner lock held (freshly acquired or stolen).  The dispossessed
+     combiner may still be running: every step is idempotent against it
+     (poison-respecting refills, writer-lock-serialized apply, guarded
+     delivery).  In legacy mode no batch is ever in flight. *)
+  let recover t ns ~patience =
+    if ns.inflight_state <> if_idle then begin
+      let gen = ns.inflight_gen in
+      ns.stats.Stats.batches_recovered <-
+        ns.stats.Stats.batches_recovered + 1;
+      if Nr_obs.Sink.tracing () then
+        Nr_obs.Sink.instant ~tid:(R.tid ()) ~node:ns.node ~cat:"nr"
+          ~arg:Nr_obs.Sink.no_arg "batch_recover";
+      if ns.inflight_start >= 0 then begin
+        fill_inflight t ns ns.inflight_start ns.inflight_n;
+        finish_batch t ns ~gen ~patience
+      end
+      else
+        (* the reservation never committed (the guarded tail CAS makes
+           that airtight), so the log holds nothing of this batch; the
+           drained requests are lost and their owners repost on their own
+           patience timeout *)
+        retire ns
+    end
+
+  (* Dispossess [ns]'s combiner tenure [gen] (hardened mode only);
+     returns the stealer's generation, or [0] if [gen] is no longer
+     current.  [event] names the trace instant. *)
+  let steal_combiner ns ~gen event =
+    let g = Spin.steal ns.combiner_lock ~gen in
+    if g <> 0 then begin
+      ns.stats.Stats.combiner_steals <- ns.stats.Stats.combiner_steals + 1;
+      if Nr_obs.Sink.tracing () then
+        Nr_obs.Sink.instant ~tid:(R.tid ()) ~node:ns.node ~cat:"nr"
+          ~arg:Nr_obs.Sink.no_arg event
+    end;
+    g
 
   (* When an append stalls because the log is full, advance replicas so
      their local tails stop holding the log back: first our own, then any
@@ -218,27 +402,46 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
      problem (§6), solved here by helping instead of a dedicated combiner.
      Helping another node requires both its combiner lock (so we never race
      an in-flight combiner whose own batch must come from its local slots)
-     and its writer lock; [try_lock] keeps this deadlock-free. *)
-  let help_advance t ns ~combiner =
+     and its writer lock; [try_lock] keeps this deadlock-free.
+
+     Hardened mode poisons holes after [patience] rounds and, once
+     [steal_laggards] (the bounded wait's escalation), steals a laggard's
+     lock that stayed stuck across the whole patience window and recovers
+     its batch remotely.  Legacy mode passes [-1] and never steals. *)
+  let help_advance t ns ~combiner ~patience ~steal_laggards =
     ns.stats.Stats.log_full_stalls <- ns.stats.Stats.log_full_stalls + 1;
     if Nr_obs.Sink.tracing () then
       Nr_obs.Sink.span_begin ~tid:(R.tid ()) ~node:ns.node ~cat:"nr"
         "log_full_stall";
     let target = Log.tail t.log in
     acquire_write t ns ~combiner;
-    ignore (replay t ns ~upto:target ~wait_holes:false);
+    ignore (replay t ns ~upto:target ~patience);
     release_write t ns ~combiner;
     Array.iter
       (fun other ->
         if
           other.node <> ns.node
           && Log.local_tail t.log other.node < target
-          && Spin.try_lock other.combiner_lock <> 0
         then begin
-          acquire_write t other ~combiner:true;
-          ignore (replay t other ~upto:target ~wait_holes:false);
-          release_write t other ~combiner:true;
-          Spin.unlock_quiet other.combiner_lock
+          let g = Spin.try_lock other.combiner_lock in
+          let g =
+            if g <> 0 || not steal_laggards then g
+            else begin
+              let held = Spin.read_gen other.combiner_lock in
+              if held land 1 = 1 then
+                steal_combiner other ~gen:held "remote_steal"
+              else 0
+            end
+          in
+          if g <> 0 then begin
+            ns.stats.Stats.remote_refreshes <-
+              ns.stats.Stats.remote_refreshes + 1;
+            recover t other ~patience;
+            acquire_write t other ~combiner:true;
+            ignore (replay t other ~upto:target ~patience);
+            release_write t other ~combiner:true;
+            unlock_combiner t other g
+          end
         end)
       t.node_states;
     if Nr_obs.Sink.tracing () then
@@ -258,6 +461,7 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
               request = R.cell ~home:node None;
               response = R.cell ~home:node None;
               seq = 0;
+              backoff = Backoff.create ();
             })
       in
       (* a combiner scans once plus up to [min_batch_retries] rescans, and
@@ -297,8 +501,14 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
     let t = { cfg; log; node_states = Array.init nodes make_node } in
     Array.iter
       (fun ns ->
-        ns.on_full_combiner <- (fun () -> help_advance t ns ~combiner:true);
-        ns.on_full_helper <- (fun () -> help_advance t ns ~combiner:false))
+        ns.on_full_combiner <-
+          (fun () ->
+            help_advance t ns ~combiner:true ~patience:(-1)
+              ~steal_laggards:false);
+        ns.on_full_helper <-
+          (fun () ->
+            help_advance t ns ~combiner:false ~patience:(-1)
+              ~steal_laggards:false))
       t.node_states;
     Stats.register_collector (fun () ->
         let acc = Stats.create () in
@@ -307,43 +517,67 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
     t
 
   (* Refresh the replica up to [completed]; used by a waiting combiner
-     (MIN_BATCH, §5.2) and by readers that find no active combiner. *)
+     (MIN_BATCH, §5.2) and the dedicated combiner.  Everything below
+     [completed] is resolved, so no patience is needed. *)
   let refresh t ns ~combiner =
     acquire_write t ns ~combiner;
-    ignore (replay t ns ~upto:(Log.completed t.log) ~wait_holes:false);
+    ignore (replay t ns ~upto:(Log.completed t.log) ~patience:(-1));
     release_write t ns ~combiner
 
   (* {2 The combiner (§5.2)} *)
 
   (* Drain this node's request slots into its batch scratch starting at
-     index [count]; returns the new count.  One overlapped read of every
-     slot cell, no allocation: the collected entries are the requesters'
-     own [Some] boxes. *)
-  let rec collect_reqs ns spn i c =
+     index [count]; returns the new count, or [-1] once tenure [gen] is
+     dispossessed.  One overlapped read of every slot cell, no
+     allocation: the collected entries are the requesters' own [Some]
+     boxes.  Legacy mode takes each request with a plain write.  Hardened
+     mode takes it with a CAS guarded on still owning the tenure, and the
+     plain scratch stores ride in the same atomic region, so a
+     dispossessed combiner can neither lose a request silently nor stomp
+     its stealer's scratch. *)
+  let rec collect_reqs t ns gen spn i c =
     if i = spn then c
     else
       match Array.unsafe_get ns.req_buf i with
       | Some _ as req ->
-          R.write ns.slots.(i).request None;
-          ns.batch_ops.(c) <- req;
-          ns.batch_slots.(c) <- i;
-          collect_reqs ns spn (i + 1) (c + 1)
-      | None -> collect_reqs ns spn (i + 1) c
+          let slot = ns.slots.(i) in
+          let taken =
+            match t.cfg.liveness with
+            | None ->
+                R.write slot.request None;
+                true
+            | Some _ ->
+                R.guarded_cas slot.request
+                  ~guard:(fun () -> ns.inflight_gen = gen)
+                  req None
+          in
+          if taken then begin
+            ns.batch_ops.(c) <- req;
+            ns.batch_slots.(c) <- i;
+            ns.batch_seqs.(c) <- slot.seq;
+            collect_reqs t ns gen spn (i + 1) (c + 1)
+          end
+          else if ns.inflight_gen <> gen then -1
+          else collect_reqs t ns gen spn (i + 1) c
+      | None -> collect_reqs t ns gen spn (i + 1) c
 
-  let scan_slots ns count =
+  let scan_slots t ns gen count =
     let spn = Array.length ns.req_cells in
     R.read_all_into ns.req_cells ~n:spn ~dst:ns.req_buf;
-    collect_reqs ns spn 0 count
+    if ns.inflight_gen <> gen then -1
+    else collect_reqs t ns gen spn 0 count
 
   (* Batch size is an int counter threaded through tail calls — no list,
      no length recomputation, no state refs; top-level for the same
      no-closure reason as [replay_window]. *)
-  let rec min_batch t ns count retries =
-    if count >= t.cfg.min_batch || retries = 0 then count
+  let rec min_batch t ns gen count retries =
+    if count < 0 then -1
+    else if count >= t.cfg.min_batch || retries = 0 then count
     else begin
       (* too small a batch: refresh the replica rather than idle (§5.2) *)
       refresh t ns ~combiner:true;
-      min_batch t ns (scan_slots ns count) (retries - 1)
+      if ns.inflight_gen <> gen then -1
+      else min_batch t ns gen (scan_slots t ns gen count) (retries - 1)
     end
 
   (* Execute a combined batch from the node-local slots; returns the
@@ -373,7 +607,9 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
   let combine t ns my_idx =
     if Nr_obs.Sink.tracing () then
       Nr_obs.Sink.span_begin ~tid:(R.tid ()) ~node:ns.node ~cat:"nr" "combine";
-    let n = min_batch t ns (scan_slots ns 0) t.cfg.min_batch_retries in
+    let n =
+      min_batch t ns 0 (scan_slots t ns 0 0) t.cfg.min_batch_retries
+    in
     Stats.record_batch ns.stats n;
     let start =
       Log.append_batch t.log ~ops:ns.batch_ops ~slots:ns.batch_slots ~n
@@ -389,7 +625,7 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
         R.yield ()
       done;
     acquire_write t ns ~combiner:true;
-    ignore (replay t ns ~upto:start ~wait_holes:true);
+    ignore (replay t ns ~upto:start ~patience:max_int);
     Log.set_local_tail t.log ns.node end_;
     (* one CAS carries [completed] over the whole batch *)
     Log.advance_completed t.log end_;
@@ -431,279 +667,6 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
         end
         else wait_or_combine t ns my_idx
 
-  let execute_update t ns my_idx op =
-    ns.stats.Stats.updates <- ns.stats.Stats.updates + 1;
-    let slot = ns.slots.(my_idx) in
-    R.write slot.response None;
-    R.write slot.request (Some op);
-    wait_or_combine t ns my_idx
-
-  (* {2 The hardened combiner (liveness mode)}
-
-     Armed by [Config.liveness].  The legacy protocol above assumes every
-     thread keeps running: a combiner that stalls mid-batch wedges its
-     node, a dead thread that reserved log entries wedges every replayer,
-     and waiters spin forever.  The hardened protocol tolerates both,
-     against the simulator's fault injector:
-
-     - the combiner lock is stealable ({!Nr_sync.Stealable_lock}): a
-       waiter whose patience runs out dispossesses the stuck tenure and
-       {e recovers} its published in-flight batch;
-     - the log-tail CAS that commits a reservation carries an ownership
-       guard, so a dispossessed combiner can never commit entries its
-       stealer does not know about — the in-flight descriptor is published
-       in the same atomic region as the commit;
-     - log holes left by dead writers are {e poisoned} after a patience
-       bound; every replica skips poisoned entries identically and their
-       requesters repost;
-     - responses are delivered under per-slot incarnation numbers, so a
-       late delivery from a dispossessed combiner cannot satisfy a
-       reposted request;
-     - the apply phase is serialized by the replica writer lock and
-       tracked by [inflight_applied], so the original combiner and a
-       recoverer each apply every operation exactly once between them.
-
-     These paths are entirely separate from the legacy ones: with
-     [liveness = None] nothing here runs and every charge sequence is
-     byte-identical to the pre-hardening code. *)
-
-  (* Hardened replay: like [replay_window], but poisoned entries are
-     skipped (they are resolved — nothing to wait for) and a hole that
-     stays open for [patience] rounds is poisoned so the log advances
-     past its dead writer.  [patience < 0] stops at the first hole, for
-     contexts that replay only resolved prefixes (completed-bounded
-     refreshes, quiescent sync). *)
-  let rec replay_window_h t ns upto patience rounds i =
-    if i >= upto then i
-    else begin
-      let n = min t.cfg.replay_window (upto - i) in
-      let resolved = Log.read_resolved t.log ns.replay_buf i n in
-      (* [replay_buf] is only touched under this node's writer lock, so
-         the stamps stay valid across the charged applies below *)
-      for k = 0 to resolved - 1 do
-        if not (Log.batch_is_poisoned ns.replay_buf k) then
-          replay_one t ns ~deliver:false (i + k)
-      done;
-      let stop_at = i + resolved in
-      if resolved = n then replay_window_h t ns upto patience 0 stop_at
-      else if patience < 0 then stop_at
-      else if rounds >= patience then begin
-        if Log.poison t.log stop_at then begin
-          ns.stats.Stats.poisoned <- ns.stats.Stats.poisoned + 1;
-          if Nr_obs.Sink.tracing () then
-            Nr_obs.Sink.instant ~tid:(R.tid ()) ~node:ns.node ~cat:"nr"
-              ~arg:Nr_obs.Sink.no_arg "poison"
-        end;
-        replay_window_h t ns upto patience 0 stop_at
-      end
-      else begin
-        R.yield ();
-        replay_window_h t ns upto patience (rounds + 1) stop_at
-      end
-    end
-
-  let replay_h t ns ~upto ~patience =
-    let start = Log.local_tail t.log ns.node in
-    let fin = replay_window_h t ns upto patience 0 start in
-    if fin <> start then Log.set_local_tail t.log ns.node fin;
-    fin
-
-  (* Complete the in-flight batch published under tenure [gen]: replay
-     the foreign prefix, apply whatever the previous holder had not
-     applied yet, deliver the responses, then jump the local tail over
-     the batch.  Runs under the node's writer lock, which serializes the
-     original (possibly dispossessed) combiner against any recoverer:
-     whoever holds the lock advances [inflight_applied]; the other finds
-     nothing left.  The [gen] tag keeps a resumed zombie from adopting a
-     {e newer} descriptor its stealer published after finishing this
-     one. *)
-  let finish_batch t ns ~gen ~patience =
-    acquire_write t ns ~combiner:true;
-    if
-      ns.inflight_state <> if_idle
-      && ns.inflight_gen = gen
-      && ns.inflight_start >= 0
-    then begin
-      let start = ns.inflight_start and n = ns.inflight_n in
-      let end_ = start + n in
-      ns.inflight_state <- if_applying;
-      ignore (replay_h t ns ~upto:start ~patience);
-      (* apply before the local-tail jump: while our tail sits at [start]
-         the range cannot be recycled, so the poison checks below read
-         this lap's stamps *)
-      for k = ns.inflight_applied to n - 1 do
-        (match ns.batch_ops.(k) with
-        | Some op ->
-            (* an entry that lost its fill/poison race is skipped by every
-               replica alike; its requester reposts *)
-            if not (Log.is_poisoned t.log (start + k)) then
-              ns.batch_res.(k) <- Some (apply ns op)
-        | None -> ());
-        ns.inflight_applied <- k + 1
-      done;
-      (* own batch is applied from the scratch, not the log: jump over it
-         (all local-tail writes happen under this writer lock, so the
-         plain store cannot regress a concurrent advance) *)
-      Log.set_local_tail t.log ns.node end_;
-      Log.advance_completed t.log end_;
-      (* (re)deliver under the collected incarnations: a requester that
-         already consumed its response and reposted carries a newer seq,
-         so a stale redelivery falls out at the guard *)
-      for k = 0 to n - 1 do
-        match ns.batch_res.(k) with
-        | Some _ as res ->
-            let slot = ns.slots.(ns.batch_slots.(k)) in
-            let sq = ns.batch_seqs.(k) in
-            ignore
-              (R.guarded_write slot.response
-                 ~guard:(fun () -> slot.seq = sq)
-                 res)
-        | None -> ()
-      done;
-      for k = 0 to n - 1 do
-        ns.batch_ops.(k) <- None;
-        ns.batch_res.(k) <- None
-      done;
-      ns.inflight_state <- if_idle;
-      ns.inflight_gen <- 0
-    end;
-    release_write t ns ~combiner:true
-
-  (* Adopt whatever batch a previous tenure left behind; called with the
-     combiner lock held (freshly acquired or stolen).  The dispossessed
-     combiner may still be running: every step is idempotent against it
-     (poison-respecting refills, writer-lock-serialized apply, guarded
-     delivery). *)
-  let recover t ns ~patience =
-    if ns.inflight_state <> if_idle then begin
-      let gen = ns.inflight_gen in
-      ns.stats.Stats.batches_recovered <-
-        ns.stats.Stats.batches_recovered + 1;
-      if Nr_obs.Sink.tracing () then
-        Nr_obs.Sink.instant ~tid:(R.tid ()) ~node:ns.node ~cat:"nr"
-          ~arg:Nr_obs.Sink.no_arg "batch_recover";
-      if ns.inflight_start >= 0 then begin
-        let start = ns.inflight_start and n = ns.inflight_n in
-        for k = 0 to n - 1 do
-          match ns.batch_ops.(k) with
-          | Some op ->
-              ignore
-                (Log.fill_checked t.log (start + k) ~op ~origin_node:ns.node
-                   ~origin_slot:ns.batch_slots.(k))
-          | None -> ()
-        done;
-        finish_batch t ns ~gen ~patience
-      end
-      else begin
-        (* the reservation never committed (the guarded tail CAS makes
-           that airtight), so the log holds nothing of this batch; the
-           drained requests are lost and their owners repost on their own
-           patience timeout *)
-        ns.inflight_state <- if_idle;
-        ns.inflight_gen <- 0
-      end
-    end
-
-  (* Hardened log-full help: advance our own replica (poisoning holes so
-     a dead writer cannot wedge the log), then laggard remote replicas —
-     through their combiner locks when free and, once [steal_laggards]
-     (the bounded wait's escalation), by stealing a lock that stayed
-     stuck across the whole patience window and recovering its batch
-     remotely. *)
-  let help_advance_h t ns ~patience ~steal_laggards =
-    ns.stats.Stats.log_full_stalls <- ns.stats.Stats.log_full_stalls + 1;
-    if Nr_obs.Sink.tracing () then
-      Nr_obs.Sink.span_begin ~tid:(R.tid ()) ~node:ns.node ~cat:"nr"
-        "log_full_stall";
-    let target = Log.tail t.log in
-    acquire_write t ns ~combiner:true;
-    ignore (replay_h t ns ~upto:target ~patience);
-    release_write t ns ~combiner:true;
-    Array.iter
-      (fun other ->
-        if
-          other.node <> ns.node
-          && Log.local_tail t.log other.node < target
-        then begin
-          let g = Spin.try_lock other.combiner_lock in
-          let g =
-            if g <> 0 || not steal_laggards then g
-            else begin
-              let held = Spin.read_gen other.combiner_lock in
-              if held land 1 = 1 then begin
-                let g' = Spin.steal other.combiner_lock ~gen:held in
-                if g' <> 0 then begin
-                  other.stats.Stats.combiner_steals <-
-                    other.stats.Stats.combiner_steals + 1;
-                  if Nr_obs.Sink.tracing () then
-                    Nr_obs.Sink.instant ~tid:(R.tid ()) ~node:other.node
-                      ~cat:"nr" ~arg:Nr_obs.Sink.no_arg "remote_steal"
-                end;
-                g'
-              end
-              else 0
-            end
-          in
-          if g <> 0 then begin
-            ns.stats.Stats.remote_refreshes <-
-              ns.stats.Stats.remote_refreshes + 1;
-            recover t other ~patience;
-            acquire_write t other ~combiner:true;
-            ignore (replay_h t other ~upto:target ~patience);
-            release_write t other ~combiner:true;
-            ignore (Spin.unlock other.combiner_lock ~gen:g)
-          end
-        end)
-      t.node_states;
-    if Nr_obs.Sink.tracing () then
-      Nr_obs.Sink.span_end ~tid:(R.tid ()) ~node:ns.node ~cat:"nr"
-        ~arg:Nr_obs.Sink.no_arg "log_full_stall"
-
-  (* Hardened slot drain: each request is taken with a CAS guarded on our
-     still owning the tenure, and the plain scratch stores ride in the
-     same atomic region, so a dispossessed combiner can neither lose a
-     request silently nor stomp its stealer's scratch.  Returns [-1] when
-     dispossessed. *)
-  let rec collect_reqs_h t ns gen spn i c =
-    if i = spn then c
-    else
-      match Array.unsafe_get ns.req_buf i with
-      | Some _ as req ->
-          if
-            R.guarded_cas
-              ns.slots.(i).request
-              ~guard:(fun () -> ns.inflight_gen = gen)
-              req None
-          then begin
-            ns.batch_ops.(c) <- req;
-            ns.batch_slots.(c) <- i;
-            ns.batch_seqs.(c) <- ns.slots.(i).seq;
-            collect_reqs_h t ns gen spn (i + 1) (c + 1)
-          end
-          else if ns.inflight_gen <> gen then -1
-          else collect_reqs_h t ns gen spn (i + 1) c
-      | None -> collect_reqs_h t ns gen spn (i + 1) c
-
-  let scan_slots_h t ns gen count =
-    let spn = Array.length ns.req_cells in
-    R.read_all_into ns.req_cells ~n:spn ~dst:ns.req_buf;
-    if ns.inflight_gen <> gen then -1
-    else collect_reqs_h t ns gen spn 0 count
-
-  let refresh_h t ns =
-    acquire_write t ns ~combiner:true;
-    ignore (replay_h t ns ~upto:(Log.completed t.log) ~patience:(-1));
-    release_write t ns ~combiner:true
-
-  let rec min_batch_h t ns gen count retries =
-    if count < 0 then -1
-    else if count >= t.cfg.min_batch || retries = 0 then count
-    else begin
-      refresh_h t ns;
-      if ns.inflight_gen <> gen then -1
-      else min_batch_h t ns gen (scan_slots_h t ns gen count) (retries - 1)
-    end
-
   (* Hardened combine, holding tenure [gen].  Publishes the in-flight
      descriptor before touching any scratch, commits the reservation with
      an ownership-guarded CAS (the descriptor's [inflight_start] is
@@ -722,14 +685,13 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
     ns.inflight_n <- 0;
     ns.inflight_applied <- 0;
     let n =
-      min_batch_h t ns gen (scan_slots_h t ns gen 0) t.cfg.min_batch_retries
+      min_batch t ns gen (scan_slots t ns gen 0) t.cfg.min_batch_retries
     in
     if n <= 0 then begin
       (* dispossessed ([-1]) or nothing to combine: retire the tenure if
          it is still ours (plain check-and-store, atomic in the model) *)
       if n = 0 && ns.inflight_gen = gen then begin
-        ns.inflight_state <- if_idle;
-        ns.inflight_gen <- 0;
+        retire ns;
         ignore (Spin.unlock ns.combiner_lock ~gen)
       end;
       if Nr_obs.Sink.tracing () then
@@ -742,7 +704,7 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
       let full_rounds = ref 0 in
       let on_full () =
         incr full_rounds;
-        help_advance_h t ns ~patience:lv.Config.hole_patience
+        help_advance t ns ~combiner:true ~patience:lv.Config.hole_patience
           ~steal_laggards:(!full_rounds >= lv.Config.full_patience);
         if !full_rounds >= lv.Config.full_patience then full_rounds := 0;
         true
@@ -753,14 +715,7 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
         (* no suspension point since the commit: publishing [start] here
            is atomic with the reservation *)
         ns.inflight_start <- start;
-        for k = 0 to n - 1 do
-          match ns.batch_ops.(k) with
-          | Some op ->
-              ignore
-                (Log.fill_checked t.log (start + k) ~op ~origin_node:ns.node
-                   ~origin_slot:ns.batch_slots.(k))
-          | None -> ()
-        done;
+        fill_inflight t ns start n;
         if Nr_obs.Sink.tracing () then
           Nr_obs.Sink.instant ~tid:(R.tid ()) ~node:ns.node ~cat:"nr" ~arg:n
             "append";
@@ -801,15 +756,8 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
           update_wait t ns slot op lv b 0 g
         end
         else if rounds >= lv.Config.slot_patience then begin
-          let gen = Spin.steal ns.combiner_lock ~gen:g in
-          if gen <> 0 then begin
-            ns.stats.Stats.combiner_steals <-
-              ns.stats.Stats.combiner_steals + 1;
-            if Nr_obs.Sink.tracing () then
-              Nr_obs.Sink.instant ~tid:(R.tid ()) ~node:ns.node ~cat:"nr"
-                ~arg:Nr_obs.Sink.no_arg "combiner_steal";
-            become_combiner t ns slot op lv b gen
-          end
+          let gen = steal_combiner ns ~gen:g "combiner_steal" in
+          if gen <> 0 then become_combiner t ns slot op lv b gen
           else update_wait t ns slot op lv b 0 last_gen
         end
         else begin
@@ -839,13 +787,17 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
         Backoff.reset b;
         update_wait t ns slot op lv b 0 0
 
-  let execute_update_h t ns my_idx op lv =
+  (* Post the request to this thread's slot, then wait for a combiner or
+     become one. *)
+  let execute_update t ns my_idx op =
     ns.stats.Stats.updates <- ns.stats.Stats.updates + 1;
     let slot = ns.slots.(my_idx) in
     slot.seq <- slot.seq + 1;
     R.write slot.response None;
     R.write slot.request (Some op);
-    update_wait t ns slot op lv (Backoff.create ()) 0 0
+    match t.cfg.liveness with
+    | None -> wait_or_combine t ns my_idx
+    | Some lv -> update_wait t ns slot op lv slot.backoff 0 0
 
   (* Ablation #1: no flat combining — each thread appends its own operation
      and applies the log itself under the writer lock.  Entries carry their
@@ -863,7 +815,7 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
       Nr_obs.Sink.instant ~tid:(R.tid ()) ~node:ns.node ~cat:"nr" ~arg:1
         "append";
     acquire_write t ns ~combiner:false;
-    ignore (replay t ns ~upto:(start + 1) ~wait_holes:true);
+    ignore (replay t ns ~upto:(start + 1) ~patience:max_int);
     Log.advance_completed t.log (start + 1);
     release_write t ns ~combiner:false;
     let rec take () =
@@ -887,25 +839,61 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
         if t.cfg.read_optimization then Log.completed t.log
         else Log.tail t.log
 
-  (* The slot path body, shared by the legacy entry point and the
-     optimistic path's fallback (which has already counted the read). *)
-  let execute_read_slow t ns my_idx op =
-    let read_tail = read_target t in
-    while Log.local_tail t.log ns.node < read_tail do
-      (* If a combiner is active it will refresh the replica; otherwise we
-         take the writer lock and refresh it ourselves. *)
-      if Spin.locked ns.combiner_lock then R.yield ()
-      else begin
+  (* Wait until [ns]'s replica reaches [read_tail], refreshing it ourselves
+     whenever no combiner holds the lock.  While one does, legacy mode
+     yields; hardened mode tracks the tenure, and one unchanged across
+     [slot_patience] backoff rounds is presumed stuck, stolen, and its
+     batch recovered.  Hardened self-refreshes poison holes after
+     [hole_patience], so a lone surviving reader still gets a fresh
+     replica when every writer on the node is dead. *)
+  let rec read_wait t ns read_tail b rounds last_gen =
+    if Log.local_tail t.log ns.node < read_tail then begin
+      let g = Spin.read_gen ns.combiner_lock in
+      if g land 1 = 0 then begin
         ns.stats.Stats.reader_refreshes <- ns.stats.Stats.reader_refreshes + 1;
         if Nr_obs.Sink.tracing () then
           Nr_obs.Sink.instant ~tid:(R.tid ()) ~node:ns.node ~cat:"nr"
             ~arg:Nr_obs.Sink.no_arg "reader_refresh";
+        let patience =
+          match t.cfg.liveness with
+          | None -> -1
+          | Some lv -> lv.Config.hole_patience
+        in
         acquire_write t ns ~combiner:false;
         if Log.local_tail t.log ns.node < read_tail then
-          ignore (replay t ns ~upto:read_tail ~wait_holes:false);
-        release_write t ns ~combiner:false
+          ignore (replay t ns ~upto:read_tail ~patience);
+        release_write t ns ~combiner:false;
+        read_wait t ns read_tail b rounds last_gen
       end
-    done;
+      else
+        match t.cfg.liveness with
+        | None ->
+            R.yield ();
+            read_wait t ns read_tail b rounds last_gen
+        | Some lv ->
+            if g <> last_gen then begin
+              Backoff.reset b;
+              Backoff.once b;
+              read_wait t ns read_tail b 0 g
+            end
+            else if rounds >= lv.Config.slot_patience then begin
+              let gen = steal_combiner ns ~gen:g "combiner_steal" in
+              if gen <> 0 then begin
+                recover t ns ~patience:lv.Config.hole_patience;
+                ignore (Spin.unlock ns.combiner_lock ~gen)
+              end;
+              Backoff.reset b;
+              read_wait t ns read_tail b 0 0
+            end
+            else begin
+              Backoff.once b;
+              read_wait t ns read_tail b (rounds + 1) last_gen
+            end
+    end
+
+  (* The slot path, also the optimistic path's fallback *)
+  let execute_read_slow t ns my_idx op =
+    read_wait t ns (read_target t) ns.slots.(my_idx).backoff 0 0;
     acquire_read t ns my_idx;
     let r = apply ns op in
     release_read t ns my_idx;
@@ -914,67 +902,6 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
   let execute_read t ns my_idx op =
     ns.stats.Stats.reads <- ns.stats.Stats.reads + 1;
     execute_read_slow t ns my_idx op
-
-  (* Hardened read: like [execute_read], but the refresh wait tracks the
-     combiner-lock tenure — a tenure that stays unchanged across
-     [slot_patience] backoff rounds while the replica lags is presumed
-     stuck, stolen, and its batch recovered; and self-refreshes poison
-     holes after [hole_patience], so a lone surviving reader still gets a
-     fresh replica when every writer on the node is dead. *)
-  let execute_read_slow_h t ns my_idx op (lv : Config.liveness) =
-    let read_tail = read_target t in
-    let b = Backoff.create () in
-    let rec wait rounds last_gen =
-      if Log.local_tail t.log ns.node < read_tail then begin
-        let g = Spin.read_gen ns.combiner_lock in
-        if g land 1 = 0 then begin
-          ns.stats.Stats.reader_refreshes <-
-            ns.stats.Stats.reader_refreshes + 1;
-          if Nr_obs.Sink.tracing () then
-            Nr_obs.Sink.instant ~tid:(R.tid ()) ~node:ns.node ~cat:"nr"
-              ~arg:Nr_obs.Sink.no_arg "reader_refresh";
-          acquire_write t ns ~combiner:false;
-          if Log.local_tail t.log ns.node < read_tail then
-            ignore
-              (replay_h t ns ~upto:read_tail
-                 ~patience:lv.Config.hole_patience);
-          release_write t ns ~combiner:false;
-          wait rounds last_gen
-        end
-        else if g <> last_gen then begin
-          Backoff.reset b;
-          Backoff.once b;
-          wait 0 g
-        end
-        else if rounds >= lv.Config.slot_patience then begin
-          let gen = Spin.steal ns.combiner_lock ~gen:g in
-          if gen <> 0 then begin
-            ns.stats.Stats.combiner_steals <-
-              ns.stats.Stats.combiner_steals + 1;
-            if Nr_obs.Sink.tracing () then
-              Nr_obs.Sink.instant ~tid:(R.tid ()) ~node:ns.node ~cat:"nr"
-                ~arg:Nr_obs.Sink.no_arg "combiner_steal";
-            recover t ns ~patience:lv.Config.hole_patience;
-            ignore (Spin.unlock ns.combiner_lock ~gen)
-          end;
-          Backoff.reset b;
-          wait 0 0
-        end
-        else begin
-          Backoff.once b;
-          wait (rounds + 1) last_gen
-        end
-      end
-    in
-    wait 0 0;
-    acquire_read t ns my_idx;
-    let r = apply ns op in
-    release_read t ns my_idx;
-    r
-
-  let execute_read_h t ns my_idx op lv =
-    ns.stats.Stats.reads <- ns.stats.Stats.reads + 1;
-    execute_read_slow_h t ns my_idx op lv
 
   (* {2 Optimistic local reads (seqlock fast path)}
 
@@ -1028,34 +955,18 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
       opt_attempt t ns op ~read_tail ~skip_validate (retries_left - 1)
     end
 
-  let opt_config t =
-    let skip_validate = t.cfg.mutation = Some Config.Skip_read_validate in
-    let retries =
-      match t.cfg.read_patience with
-      | Some p -> p
-      | None -> default_opt_retries
-    in
-    (skip_validate, retries)
-
   let execute_read_opt t ns my_idx op =
     ns.stats.Stats.reads <- ns.stats.Stats.reads + 1;
     let read_tail = read_target t in
-    let skip_validate, retries = opt_config t in
+    let skip_validate = t.cfg.mutation = Some Config.Skip_read_validate in
+    let retries =
+      Option.value t.cfg.read_patience ~default:default_opt_retries
+    in
     match opt_attempt t ns op ~read_tail ~skip_validate retries with
     | Some r -> r
     | None ->
         ns.stats.Stats.opt_fallbacks <- ns.stats.Stats.opt_fallbacks + 1;
         execute_read_slow t ns my_idx op
-
-  let execute_read_opt_h t ns my_idx op lv =
-    ns.stats.Stats.reads <- ns.stats.Stats.reads + 1;
-    let read_tail = read_target t in
-    let skip_validate, retries = opt_config t in
-    match opt_attempt t ns op ~read_tail ~skip_validate retries with
-    | Some r -> r
-    | None ->
-        ns.stats.Stats.opt_fallbacks <- ns.stats.Stats.opt_fallbacks + 1;
-        execute_read_slow_h t ns my_idx op lv
 
   (* {2 The concurrent entry point (paper's ExecuteConcurrent)} *)
 
@@ -1063,19 +974,14 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
     let node = R.my_node () in
     let ns = t.node_states.(node) in
     let my_idx = R.tid () mod R.threads_per_node () in
-    match t.cfg.liveness with
-    | None ->
-        if Seq.is_read_only op then
-          if t.cfg.optimistic_reads then execute_read_opt t ns my_idx op
-          else execute_read t ns my_idx op
-        else if t.cfg.flat_combining then execute_update t ns my_idx op
-        else execute_update_nofc t ns my_idx op
-    | Some lv ->
-        (* [Config.validate] guarantees flat combining in liveness mode *)
-        if Seq.is_read_only op then
-          if t.cfg.optimistic_reads then execute_read_opt_h t ns my_idx op lv
-          else execute_read_h t ns my_idx op lv
-        else execute_update_h t ns my_idx op lv
+    if Seq.is_read_only op then
+      if t.cfg.optimistic_reads then execute_read_opt t ns my_idx op
+      else execute_read t ns my_idx op
+    else if t.cfg.flat_combining then execute_update t ns my_idx op
+    else
+      (* legacy only: [Config.validate] requires flat combining in
+         liveness mode *)
+      execute_update_nofc t ns my_idx op
 
   (* {2 Dedicated combiner support (§4, optional optimization)}
 
@@ -1089,15 +995,7 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
   let refresh_local t =
     let ns = t.node_states.(R.my_node ()) in
     if Log.local_tail t.log ns.node < Log.completed t.log then
-      match t.cfg.liveness with
-      | None -> refresh t ns ~combiner:false
-      | Some _ ->
-          (* [completed] implies everything below is resolved, so no
-             patience is needed — stop at the first (impossible) hole *)
-          acquire_write t ns ~combiner:false;
-          ignore
-            (replay_h t ns ~upto:(Log.completed t.log) ~patience:(-1));
-          release_write t ns ~combiner:false
+      refresh t ns ~combiner:false
 
   (* Loop refreshing the local replica until [stop] returns true. *)
   let run_dedicated_combiner t ~stop =
@@ -1128,58 +1026,32 @@ module Make (R : Nr_runtime.Runtime_intf.S) (Seq : Ds_intf.S) = struct
        the work happens without taking any lock.  Entries of every
        in-flight range are resolved first — afterwards no hole can remain
        below any batch start, since in liveness mode every committed range
-       has a descriptor — then each batch is finished exactly like
-       [finish_batch] minus delivery. *)
+       has a descriptor — then each batch is finished like
+       [finish_batch], minus the lock and delivery. *)
     let finish_inflight t =
       Array.iter
         (fun ns ->
           if ns.inflight_state <> if_idle && ns.inflight_start >= 0 then
-            for k = 0 to ns.inflight_n - 1 do
-              match ns.batch_ops.(k) with
-              | Some op ->
-                  ignore
-                    (Log.fill_checked t.log (ns.inflight_start + k) ~op
-                       ~origin_node:ns.node ~origin_slot:ns.batch_slots.(k))
-              | None -> ()
-            done)
+            fill_inflight t ns ns.inflight_start ns.inflight_n)
         t.node_states;
       Array.iter
         (fun ns ->
-          if ns.inflight_state <> if_idle then begin
-            (if ns.inflight_start >= 0 then begin
-               let start = ns.inflight_start and n = ns.inflight_n in
-               ignore (replay_h t ns ~upto:start ~patience:0);
-               for k = ns.inflight_applied to n - 1 do
-                 (match ns.batch_ops.(k) with
-                 | Some op ->
-                     if not (Log.is_poisoned t.log (start + k)) then
-                       ignore (apply ns op)
-                 | None -> ());
-                 ns.inflight_applied <- k + 1
-               done;
-               Log.set_local_tail t.log ns.node (start + n);
-               Log.advance_completed t.log (start + n)
-             end);
-            ns.inflight_state <- if_idle;
-            ns.inflight_gen <- 0
-          end)
+          if ns.inflight_state <> if_idle then
+            if ns.inflight_start >= 0 then
+              complete_batch t ns ~patience:0 ~deliver:false
+            else retire ns)
         t.node_states
 
     (* Bring every replica up to [completed].  Must be called from a
-       runtime thread while no other operations are in flight.  In
-       liveness mode this first finishes any batch stranded by a dead
-       combiner, so replicas end on a clean log-prefix state. *)
+       runtime thread while no other operations are in flight.  This
+       first finishes any batch stranded by a dead combiner (liveness
+       mode; legacy mode never has one in flight), so replicas end on a
+       clean log-prefix state. *)
     let sync t =
-      (match t.cfg.liveness with Some _ -> finish_inflight t | None -> ());
+      finish_inflight t;
       Array.iter
         (fun ns ->
-          match t.cfg.liveness with
-          | None ->
-              ignore
-                (replay t ns ~upto:(Log.completed t.log) ~wait_holes:false)
-          | Some _ ->
-              ignore
-                (replay_h t ns ~upto:(Log.completed t.log) ~patience:(-1)))
+          ignore (replay t ns ~upto:(Log.completed t.log) ~patience:(-1)))
         t.node_states
 
     (* Read the resident ops in [lo, hi), oldest first; [None] marks a

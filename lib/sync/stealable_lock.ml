@@ -9,10 +9,11 @@
     generation fails, so a stalled ex-holder that eventually resumes can
     detect the theft and cannot corrupt the new tenure.
 
-    The charge sequences of {!try_lock}, {!lock}, {!locked} and
-    {!unlock_quiet} mirror {!Spinlock} exactly (test-and-test-and-set,
-    same backoff, plain-write release), so swapping this lock in while
-    never stealing leaves a seeded simulation byte-identical. *)
+    {!try_lock}, {!lock}, {!locked} and {!unlock_quiet} have
+    {!Spinlock}'s shape, not its outcomes: after another tenure came and
+    went between a [try_lock]'s read and its CAS, the generation CAS fails
+    where the plain lock's [0 -> 1] CAS succeeds (ABA), so swapping this
+    lock in changes contended simulations even when nothing steals. *)
 
 module Make (R : Nr_runtime.Runtime_intf.S) = struct
   module Backoff = Backoff.Make (R)

@@ -11,9 +11,12 @@
     naming that tenure.  Generation 0 never names a tenure and is the
     failure sentinel.
 
-    On the legacy (never-stealing) paths, {!try_lock}, {!lock}, {!locked}
-    and {!unlock_quiet} replay {!Spinlock}'s exact charge sequences, so
-    seeded simulations are byte-identical to the plain spin lock. *)
+    {!try_lock}, {!lock}, {!locked} and {!unlock_quiet} issue the charges
+    of their {!Spinlock} counterparts, but a seeded simulation matches
+    one on the plain spin lock only while no other tenure comes and goes
+    between a [try_lock]'s read and its CAS.  There {!Spinlock}'s
+    [0 -> 1] CAS succeeds (ABA) and the generation CAS fails; contention
+    makes this common. *)
 
 module Make (R : Nr_runtime.Runtime_intf.S) : sig
   type t

@@ -200,6 +200,84 @@ let test_fault_hooks_transparent () =
     (run_point ())
     (run_point ~faults:Nr_sim.Fault_plan.none ())
 
+(* --- goldens for the hardened protocol and the ablation paths ------- *)
+
+(* [test_readpath]'s goldens pin only [Config.default].  These pin the
+   other configurations whose replay, helping, slot-drain and read-wait
+   code the default never runs, on the fault experiment's workload (10%
+   updates, e=0) over a short window: any drift means a change moved a
+   charge sequence of that protocol. *)
+
+let golden_params threads =
+  {
+    Params.topo = T.intel;
+    threads = [ threads ];
+    warmup_us = 2.0;
+    measure_us = 12.0;
+    population = 512;
+    seed = 0xA5A5;
+    latency = false;
+  }
+
+let run_golden ?faults cfg ~threads =
+  let params = golden_params threads in
+  Driver.run_sim ?faults ~topo:params.Params.topo ~threads
+    ~warmup_us:params.Params.warmup_us ~measure_us:params.Params.measure_us
+    (Exp_faults.setup params Method.NR cfg ~threads)
+
+let check_golden tag (r : Driver.result) (ops, opus, remote) =
+  Alcotest.(check int) (tag ^ ": total ops") ops r.Driver.total_ops;
+  Alcotest.(check int) (tag ^ ": remote transfers") remote
+    r.Driver.remote_transfers;
+  Alcotest.(check bool)
+    (tag ^ ": ops/us bit-identical to golden")
+    true
+    (Int64.bits_of_float opus = Int64.bits_of_float r.Driver.ops_per_us)
+
+(* (label, config, stall kcycles (0 = no plan), threads,
+   (total_ops, ops_per_us as hex-float bits, remote transfers)) *)
+let fault_goldens =
+  [
+    ("NR-robust", Nr_core.Config.robust, 0, 56, (353, 0x1.d6aaaaaaaaaabp+4, 152));
+    ("NR-robust", Nr_core.Config.robust, 0, 112, (506, 0x1.5155555555555p+5, 526));
+    ("NR-robust", Nr_core.Config.robust, 50, 56, (87, 0x1.dp+2, 81));
+    ("NR-robust", Nr_core.Config.robust, 50, 112, (241, 0x1.4155555555555p+4, 352));
+    ("NR", Nr_core.Config.default, 50, 56, (159, 0x1.a8p+3, 78));
+  ]
+
+let test_fault_goldens () =
+  List.iter
+    (fun (label, cfg, kc, threads, golden) ->
+      let faults =
+        if kc = 0 then None
+        else Some (Exp_faults.plan ~seed:0xA5A5 ~stall_kcycles:kc)
+      in
+      check_golden
+        (Printf.sprintf "%s stall=%dk t=%d" label kc threads)
+        (run_golden ?faults cfg ~threads)
+        golden)
+    fault_goldens
+
+(* One point per disabled technique of the fig14 ablation, in
+   [Exp_ablation.techniques] order, at two nodes so cross-node replay
+   and (without flat combining) response delivery both run. *)
+let ablation_goldens =
+  [
+    (261, 0x1.5cp+4, 1160);
+    (177, 0x1.d8p+3, 129);
+    (221, 0x1.26aaaaaaaaaabp+4, 62);
+    (572, 0x1.7d55555555555p+5, 183);
+    (255, 0x1.54p+4, 62);
+  ]
+
+let test_ablation_goldens () =
+  List.iter2
+    (fun (t : Exp_ablation.technique) golden ->
+      check_golden t.Exp_ablation.label
+        (run_golden t.Exp_ablation.cfg ~threads:56)
+        golden)
+    Exp_ablation.techniques ablation_goldens
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ log_replay_agrees; skiplist_copy_equiv; pairing_copy_equiv ]
@@ -208,4 +286,8 @@ let suite =
         test_sweep_point_deterministic;
       Alcotest.test_case "fault hooks are timing-transparent" `Quick
         test_fault_hooks_transparent;
+      Alcotest.test_case "hardened protocol fixed-seed goldens" `Quick
+        test_fault_goldens;
+      Alcotest.test_case "ablation fixed-seed goldens" `Quick
+        test_ablation_goldens;
     ]

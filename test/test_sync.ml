@@ -50,6 +50,70 @@ let test_spinlock_trylock () =
       Spin.unlock lock);
   S.run sched
 
+let test_stealable_mutual_exclusion () =
+  let sched = S.create T.intel in
+  let module R = (val Nr_runtime.Runtime_sim.make sched) in
+  let module L = Nr_sync.Stealable_lock.Make (R) in
+  let lock = L.create () in
+  let unprotected = ref 0 in
+  let lost_release = ref false in
+  let iters = 200 in
+  let threads = 16 in
+  for tid = 0 to threads - 1 do
+    S.spawn sched ~tid (fun () ->
+        for _ = 1 to iters do
+          let gen = L.lock lock in
+          let v = !unprotected in
+          R.yield ();
+          unprotected := v + 1;
+          (* nobody steals here, so every tenure's release must succeed *)
+          if not (L.unlock lock ~gen) then lost_release := true
+        done)
+  done;
+  S.run sched;
+  Alcotest.(check int) "no lost updates" (threads * iters) !unprotected;
+  Alcotest.(check bool) "every release succeeds" false !lost_release
+
+let test_stealable_trylock () =
+  let sched = S.create T.tiny in
+  let module R = (val Nr_runtime.Runtime_sim.make sched) in
+  let module L = Nr_sync.Stealable_lock.Make (R) in
+  let lock = L.create () in
+  S.spawn sched ~tid:0 (fun () ->
+      let g = L.try_lock lock in
+      Alcotest.(check bool) "acquire yields an odd generation" true
+        (g land 1 = 1);
+      Alcotest.(check int) "try_lock while held" 0 (L.try_lock lock);
+      Alcotest.(check bool) "locked" true (L.locked lock);
+      L.unlock_quiet lock;
+      Alcotest.(check bool) "free after unlock_quiet" false (L.locked lock);
+      let g' = L.try_lock lock in
+      Alcotest.(check bool) "fresh tenure after release" true
+        (g' <> 0 && g' <> g);
+      Alcotest.(check bool) "release" true (L.unlock lock ~gen:g'));
+  S.run sched
+
+let test_stealable_steal () =
+  let sched = S.create T.tiny in
+  let module R = (val Nr_runtime.Runtime_sim.make sched) in
+  let module L = Nr_sync.Stealable_lock.Make (R) in
+  let lock = L.create () in
+  S.spawn sched ~tid:0 (fun () ->
+      let victim = L.lock lock in
+      let thief = L.steal lock ~gen:victim in
+      Alcotest.(check bool) "steal succeeds on the current tenure" true
+        (thief <> 0 && thief <> victim && thief land 1 = 1);
+      Alcotest.(check bool) "still held by the stealer" true (L.locked lock);
+      Alcotest.(check int) "stale steal fails" 0 (L.steal lock ~gen:victim);
+      Alcotest.(check bool) "victim's release fails" false
+        (L.unlock lock ~gen:victim);
+      Alcotest.(check bool) "lock still held after the failed release" true
+        (L.locked lock);
+      Alcotest.(check bool) "stealer's release succeeds" true
+        (L.unlock lock ~gen:thief);
+      Alcotest.(check bool) "free" false (L.locked lock));
+  S.run sched
+
 (* Generic readers-writer lock exercise: readers must never observe a
    torn (odd) value; the writer writes in two steps. *)
 let rw_exercise ~make_ops =
@@ -149,6 +213,11 @@ let suite =
     Alcotest.test_case "spinlock mutual exclusion" `Quick
       test_spinlock_mutual_exclusion;
     Alcotest.test_case "spinlock try_lock" `Quick test_spinlock_trylock;
+    Alcotest.test_case "stealable lock mutual exclusion" `Quick
+      test_stealable_mutual_exclusion;
+    Alcotest.test_case "stealable lock try_lock" `Quick test_stealable_trylock;
+    Alcotest.test_case "stealable lock steal dispossesses the holder" `Quick
+      test_stealable_steal;
     Alcotest.test_case "distributed rwlock" `Quick test_rwlock_dist;
     Alcotest.test_case "simple rwlock" `Quick test_rwlock_simple;
     Alcotest.test_case "dist rwlock parallel readers" `Quick
